@@ -1144,7 +1144,7 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         try:
             dataset, metric, support = self._config(params)
-            top = int(params.get("top", "10"))
+            top = validate_top(params.get("top", "10"))
             epsilon = self._epsilon(params)
             workers = self._workers(params)
             confidence = validate_confidence(params.get("confidence", "0.95"))
@@ -1307,7 +1307,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _explore(self, params: dict[str, str]) -> dict:
         dataset, metric, support = self._config(params)
-        top = int(params.get("top", "10"))
+        top = validate_top(params.get("top", "10"))
         epsilon = self._epsilon(params)
         workers = self._workers(params)
         sample = validate_sample(params.get("sample"))
@@ -1524,7 +1524,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _explain(self, params: dict[str, str]) -> dict:
         result = self._result(params)
-        top = int(params.get("top", "5"))
+        top = validate_top(params.get("top", "5"))
         epsilon = self._epsilon(params)
         table = explain_top_k(result, k=top, epsilon=epsilon)
         return {
@@ -1565,7 +1565,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _global(self, params: dict[str, str]) -> dict:
         result = self._result(params)
-        top = int(params.get("top", "12"))
+        top = validate_top(params.get("top", "12"))
         global_div = global_item_divergence(result)
         individual = individual_item_divergence(result)
         return {
@@ -1585,7 +1585,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _corrective(self, params: dict[str, str]) -> dict:
         result = self._result(params)
-        top = int(params.get("top", "10"))
+        top = validate_top(params.get("top", "10"))
         return {
             "corrective": [
                 {
@@ -1798,6 +1798,9 @@ class _Handler(BaseHTTPRequestHandler):
         # response may carry bare Infinity/NaN tokens (invalid JSON),
         # and allow_nan=False turns any miss into a loud failure.
         body = json.dumps(_sanitize(payload), allow_nan=False).encode()
+        # The answer is computed: free the admission slot before the
+        # client can read the reply, so its next request finds it free.
+        self._release()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -1809,6 +1812,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_html(self, html: str) -> None:
         body = html.encode()
+        self._release()
         self.send_response(200)
         self.send_header("Content-Type", "text/html; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))

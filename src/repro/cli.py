@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_explore = sub.add_parser("explore", help="top divergent patterns")
     add_explore_args(p_explore)
-    p_explore.add_argument("--top", type=int, default=10)
+    p_explore.add_argument("--top", type=_arg(validate_top), default=10)
     p_explore.add_argument("--epsilon", type=float,
                            help="apply ε-redundancy pruning first")
 
@@ -164,18 +164,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_global = sub.add_parser("global", help="global item divergence")
     add_explore_args(p_global)
-    p_global.add_argument("--top", type=int, default=12)
+    p_global.add_argument("--top", type=_arg(validate_top), default=12)
 
     p_corr = sub.add_parser("corrective", help="top corrective items")
     add_explore_args(p_corr)
-    p_corr.add_argument("--top", type=int, default=10)
+    p_corr.add_argument("--top", type=_arg(validate_top), default=10)
 
     p_sig = sub.add_parser(
         "significant", help="patterns surviving FDR control"
     )
     add_explore_args(p_sig)
     p_sig.add_argument("--alpha", type=float, default=0.05)
-    p_sig.add_argument("--top", type=int, default=10)
+    p_sig.add_argument("--top", type=_arg(validate_top), default=10)
 
     p_lattice = sub.add_parser("lattice", help="subset lattice of a pattern")
     add_explore_args(p_lattice)

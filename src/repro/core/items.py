@@ -8,11 +8,17 @@ hashable value objects usable as dict keys.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import SchemaError
+
+# A comma followed by ``attr=`` separates two items; any other comma
+# belongs to a value. Attribute names hold no ``,``, ``=``, ``<`` or
+# ``>``, so interval values such as ``(0, <=3]`` stay whole.
+_ITEM_SEPARATOR = re.compile(r",(?=\s*[^,=<>\s][^,=<>]*=)")
 
 
 @dataclass(frozen=True, order=True)
@@ -55,11 +61,16 @@ class Itemset:
 
     @classmethod
     def parse(cls, text: str) -> "Itemset":
-        """Parse ``"a=1, b=x"`` notation (values stay strings)."""
-        if not text.strip():
+        """Parse ``"a=1, b=x"`` notation (values stay strings).
+
+        Items are split only at a comma that starts a new ``attr=``
+        item, so values holding commas (``"age=(0, 3], sex=Male"``)
+        read back as written; ``"<empty>"`` is the empty itemset.
+        """
+        if not text.strip() or text.strip() == str(EMPTY_ITEMSET):
             return cls()
         pairs = []
-        for chunk in text.split(","):
+        for chunk in _ITEM_SEPARATOR.split(text):
             if "=" not in chunk:
                 raise SchemaError(f"cannot parse item {chunk!r}")
             attr, value = chunk.split("=", 1)

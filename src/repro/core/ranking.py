@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.result import PatternDivergenceResult, PatternRecord
 
 
@@ -73,13 +75,14 @@ def significant_patterns(
     NaN-divergence patterns are never significant. ``k`` optionally caps
     the output length.
     """
-    records = result.records()
-    p_values = [t_to_p_value(rec.t_statistic) for rec in records]
-    keep = benjamini_hochberg(p_values, alpha=alpha)
-    survivors = [
-        rec
-        for rec, kept in zip(records, keep)
-        if kept and not math.isnan(rec.divergence)
-    ]
-    survivors.sort(key=lambda r: -abs(r.divergence))
-    return survivors if k is None else survivors[:k]
+    rows = np.flatnonzero(result.length_vector() > 0)
+    t_stats = result.t_statistics_vector()[rows]
+    p_values = [t_to_p_value(t) for t in t_stats.tolist()]
+    keep = np.asarray(benjamini_hochberg(p_values, alpha=alpha), dtype=bool)
+    divergence = result.statistic_vector("divergence")[rows]
+    keep &= ~np.isnan(divergence)
+    order = np.argsort(-np.abs(divergence[keep]), kind="stable")
+    survivors = rows[keep][order]
+    if k is not None:
+        survivors = survivors[:k]
+    return result.records_for_rows(survivors.tolist())

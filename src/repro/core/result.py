@@ -54,6 +54,17 @@ class PatternRecord:
         return len(self.itemset)
 
 
+# Per-record values of the ``top_k`` ranking statistics; the final
+# string tie-break sorts records with these.
+_RECORD_KEYS = {
+    "divergence": lambda r: r.divergence,
+    "abs_divergence": lambda r: abs(r.divergence),
+    "support": lambda r: r.support,
+    "t_statistic": lambda r: r.t_statistic,
+    "rate": lambda r: r.rate,
+}
+
+
 class PatternDivergenceResult:
     """All frequent itemsets with divergence for one outcome metric.
 
@@ -102,6 +113,7 @@ class PatternDivergenceResult:
         self._lattice_index = None
         self._t_stats: np.ndarray | None = None
         self._t_stats_signed: np.ndarray | None = None
+        self._lengths: np.ndarray | None = None
         self._derive_statistics()
 
     def _derive_statistics(self) -> None:
@@ -156,12 +168,11 @@ class PatternDivergenceResult:
 
     def itemset_of(self, key: Iterable[int]) -> Itemset:
         """Decode internal item ids to a readable itemset."""
-        return Itemset.from_pairs(self.catalog.decode(i) for i in key)
+        return Itemset(map(self.catalog.item, key))
 
     def item_of(self, item_id: int) -> Item:
         """Decode one item id."""
-        attr, value = self.catalog.decode(item_id)
-        return Item(attr, value)
+        return self.catalog.item(item_id)
 
     # ------------------------------------------------------------------
     # per-pattern statistics
@@ -321,9 +332,9 @@ class PatternDivergenceResult:
         The numeric columns (support, rate, divergence, t-statistic) are
         computed for the whole table in single vectorized expressions;
         only the readable itemset decoding remains per-row. Both views
-        (with and without the empty pattern) are materialized once, so
-        repeated ``top_k`` / ``significant`` / ``pruned`` calls do not
-        rebuild N dataclass rows each time.
+        (with and without the empty pattern) are materialized once.
+        The ranked views (``top_k``, ``significant``) never call this:
+        they build records only for the rows they return.
         """
         if self._records is None:
             counts = self._count_matrix
@@ -353,6 +364,32 @@ class PatternDivergenceResult:
             return list(self._records)
         return list(self._records_nonempty)
 
+    def length_vector(self) -> np.ndarray:
+        """Itemset length per table row (computed once, cached)."""
+        if self._lengths is None:
+            self._lengths = np.fromiter(
+                map(len, self._keys), dtype=np.int64, count=len(self._keys)
+            )
+        return self._lengths
+
+    def statistic_vector(self, by: str) -> np.ndarray:
+        """Per-row values of a ranking statistic (a ``top_k`` ``by`` key).
+
+        These are the values the records carry: ``divergence`` is the
+        rate minus the global rate, as in :meth:`records`.
+        """
+        if by == "divergence":
+            return self._rates - self.global_rate
+        if by == "abs_divergence":
+            return np.abs(self._rates - self.global_rate)
+        if by == "support":
+            return self._count_matrix[:, 0] / self.n_rows
+        if by == "t_statistic":
+            return self.t_statistics_vector()
+        if by == "rate":
+            return self._rates
+        raise ReproError(f"unknown ranking key {by!r}")
+
     def top_k(
         self,
         k: int = 10,
@@ -368,24 +405,41 @@ class PatternDivergenceResult:
         broken by support (higher first), then pattern length (shorter
         first), then lexicographically, so the ranking is identical
         whichever mining backend produced the result.
+
+        The rows are selected on the columns: filters are masks, and one
+        ``lexsort`` orders the survivors on (value, support, length).
+        Records are built only for the first ``k`` rows plus any rows
+        tied with the k-th on all three keys; the string tie-break then
+        settles those exactly as a sort over the whole table would.
         """
-        rows = self.records()
+        value = self.statistic_vector(by)
+        if k < 0:
+            raise ReproError(f"k must be >= 0, got {k}")
+        if k == 0:
+            return []
+        supports = self.statistic_vector("support")
+        lengths = self.length_vector()
+        keep = (lengths > 0) & ~np.isnan(value)
         if min_support is not None:
-            rows = [r for r in rows if r.support >= min_support]
+            keep &= supports >= min_support
         if max_length is not None:
-            rows = [r for r in rows if r.length <= max_length]
-        key_fn = {
-            "divergence": lambda r: r.divergence,
-            "abs_divergence": lambda r: abs(r.divergence),
-            "support": lambda r: r.support,
-            "t_statistic": lambda r: r.t_statistic,
-            "rate": lambda r: r.rate,
-        }.get(by)
-        if key_fn is None:
-            raise ReproError(f"unknown ranking key {by!r}")
-        rows = [r for r in rows if not math.isnan(key_fn(r))]
+            keep &= lengths <= max_length
+        rows = np.flatnonzero(keep)
         sign = 1.0 if ascending else -1.0
-        rows.sort(
+        keys = (lengths[rows], -supports[rows], sign * value[rows])
+        order = np.lexsort(keys)
+        if k < len(order):
+            # Rows tied with the k-th on every numeric key sit right
+            # after it; keep them for the string tie-break.
+            last = order[k - 1]
+            tail = order[k - 1 :]
+            tied = np.ones(len(tail), dtype=bool)
+            for column in keys:
+                tied &= column[tail] == column[last]
+            order = order[: k - 1 + int(np.count_nonzero(tied))]
+        records = self.records_for_rows(rows[order].tolist())
+        key_fn = _RECORD_KEYS[by]
+        records.sort(
             key=lambda r: (
                 sign * key_fn(r),
                 -r.support,
@@ -393,7 +447,27 @@ class PatternDivergenceResult:
                 str(r.itemset),
             )
         )
-        return rows[:k]
+        return records[:k]
+
+    def journal_rows(
+        self,
+    ) -> list[tuple[frozenset[int], str, float, float, float]]:
+        """``(key, itemset text, Δ, support, signed t)`` per non-empty row.
+
+        The row format of :meth:`repro.store.PatternStore.record_window`,
+        read from the columns without building records.
+        """
+        rows = np.flatnonzero(self.length_vector() > 0)
+        keys = [self._keys[row] for row in rows.tolist()]
+        return [
+            (key, str(self.itemset_of(key)), divergence, support, t_signed)
+            for key, divergence, support, t_signed in zip(
+                keys,
+                self.statistic_vector("divergence")[rows].tolist(),
+                self.statistic_vector("support")[rows].tolist(),
+                self.t_statistics_vector(signed=True)[rows].tolist(),
+            )
+        ]
 
     # ------------------------------------------------------------------
     # analyses (delegating to the dedicated modules)

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.exceptions import MiningError
+
+if TYPE_CHECKING:
+    from repro.core.items import Item
 
 # Lookup table mapping a byte to its population count, used to count the
 # rows covered by a packed bitset intersection.
@@ -223,6 +226,7 @@ class ItemCatalog:
         self._item_column = np.repeat(
             np.arange(len(attributes)), self.cardinalities
         ).astype(np.int32)
+        self._items: list[Item | None] = [None] * self.n_items
 
     def item_id(self, attribute: str, value: Any) -> int:
         """Return the global id of item ``attribute = value``."""
@@ -243,6 +247,22 @@ class ItemCatalog:
         j = int(self._item_column[item_id])
         code = item_id - int(self.offsets[j])
         return self.attributes[j], self.categories[j][code]
+
+    def item(self, item_id: int) -> Item:
+        """The :class:`~repro.core.items.Item` of ``item_id``, interned.
+
+        Built on first use and reused afterwards, so decoding many
+        itemsets allocates one ``Item`` per item id, not one per
+        occurrence.
+        """
+        cached = self._items[item_id] if 0 <= item_id < self.n_items else None
+        if cached is None:
+            # Imported here: repro.core imports this module.
+            from repro.core.items import Item
+
+            cached = Item(*self.decode(item_id))  # raises when out of range
+            self._items[item_id] = cached
+        return cached
 
     def column_of(self, item_id: int) -> int:
         """Column (attribute) index of ``item_id``."""

@@ -323,17 +323,9 @@ class PatternStore:
         ts: float | None = None,
     ) -> None:
         """Journal a window straight from its divergence table."""
-        rows = [
-            (
-                result.key_of(r.itemset),
-                str(r.itemset),
-                r.divergence,
-                r.support,
-                r.t_signed,
-            )
-            for r in result.records()
-        ]
-        self.record_window(window_index, rows, alerts, ts=ts)
+        self.record_window(
+            window_index, result.journal_rows(), alerts, ts=ts
+        )
 
     def ack(
         self,

@@ -231,20 +231,7 @@ class DivergenceMonitor:
         divergence in the current window (the paper's corrective-item
         search, restricted to the alerted subgroups).
         """
-        self.store.record_window(
-            window_index,
-            (
-                (
-                    result.key_of(r.itemset),
-                    str(r.itemset),
-                    r.divergence,
-                    r.support,
-                    r.t_signed,
-                )
-                for r in result.records()
-            ),
-            fired,
-        )
+        self.store.record_window(window_index, result.journal_rows(), fired)
         alerted = {a.key for a in fired if a.key is not None}
         if not alerted:
             return

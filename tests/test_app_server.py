@@ -109,6 +109,28 @@ class TestEndpoints:
         assert len(data["nodes"]) == 2**n_items
         assert any(node["divergent"] for node in data["nodes"])
 
+    def test_lattice_of_interval_pattern(self, server_url):
+        # compas bins prior counts as intervals such as "[1,3]"; a
+        # pattern naming one must parse back to itself.
+        explore = get_json(
+            server_url
+            + "/api/explore?dataset=compas&metric=fpr&support=0.1&top=500"
+        )
+        pattern = next(
+            p["itemset"]
+            for p in explore["patterns"]
+            if "#prior=[1,3], " in p["itemset"]
+        )
+        data = get_json(
+            server_url
+            + "/api/lattice?dataset=compas&metric=fpr&support=0.1&pattern="
+            + urllib.parse.quote(pattern)
+        )
+        assert data["pattern"] == pattern
+        n_items = pattern.count(", ") + 1
+        assert n_items >= 2
+        assert len(data["nodes"]) == 2**n_items
+
 
 class TestErrors:
     def test_unknown_path_404(self, server_url):
@@ -137,6 +159,23 @@ class TestErrors:
         assert err.value.code == 400
         body = json.loads(err.value.read())
         assert "support must be in (0, 1]" in body["error"]
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "/api/explore?dataset=compas",
+            "/api/explain?dataset=compas",
+            "/api/global?dataset=compas",
+            "/api/corrective?dataset=compas",
+        ],
+    )
+    @pytest.mark.parametrize("top", ["-1", "0", "two"])
+    def test_bad_top_400(self, server_url, path, top):
+        with pytest.raises(HTTPError) as err:
+            get_json(server_url + f"{path}&support=0.1&top={top}")
+        assert err.value.code == 400
+        body = json.loads(err.value.read())
+        assert "top must be" in body["error"]
 
     def test_negative_epsilon_400(self, server_url):
         with pytest.raises(HTTPError) as err:
@@ -216,6 +255,14 @@ class TestCaching:
         _, pruned = state.explore_rows("compas", "fpr", 0.2, 5, epsilon=0.05)
         assert pruned is not rows  # distinct (top, epsilon) render
         assert len(pruned) <= len(rows)
+
+    def test_cached_result_holds_no_record_table(self):
+        # A ranked explore builds records for the rows it returns only,
+        # so the cached result does not keep one object per pattern.
+        state = AppState(seed=0, max_results=4)
+        result, rows = state.explore_rows("compas", "fpr", 0.05, 10)
+        assert len(rows) == 10
+        assert result._records is None
 
     def test_render_cache_dropped_with_entry(self):
         state = AppState(seed=0, max_results=1)

@@ -1,9 +1,12 @@
 """Unit tests for repro.core.items."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.items import EMPTY_ITEMSET, Item, Itemset
 from repro.exceptions import SchemaError
+from repro.tabular.discretize import format_interval_labels
 
 
 class TestItem:
@@ -44,10 +47,41 @@ class TestItemsetConstruction:
         with pytest.raises(SchemaError):
             Itemset.parse("no-equals-sign")
 
+    def test_parse_value_with_comma(self):
+        i = Itemset.parse("age=(0, 3], sex=Male, #prior=[1,3]")
+        assert i == Itemset.from_pairs(
+            [("age", "(0, 3]"), ("sex", "Male"), ("#prior", "[1,3]")]
+        )
+
     def test_immutable(self):
         i = Itemset([Item("a", 1)])
         with pytest.raises(AttributeError):
             i.anything = 3
+
+
+def interval_labels(edges: list[float]) -> list[str]:
+    """The discretizer's labels plus comma-separated interval forms."""
+    edges = sorted(set(edges))
+    labels = format_interval_labels(edges)
+    labels += [f"({lo:g}, {hi:g}]" for lo, hi in zip(edges, edges[1:])]
+    labels += [f"[{lo:g},{hi:g}]" for lo, hi in zip(edges, edges[1:])]
+    return labels
+
+
+@given(
+    edges=st.lists(
+        st.floats(-1e4, 1e4, allow_nan=False), min_size=1, max_size=4
+    ),
+    picks=st.lists(st.integers(0, 100), min_size=0, max_size=4),
+)
+def test_parse_round_trips_discretized_labels(edges, picks):
+    labels = interval_labels(edges)
+    attributes = ["age", "#prior", "capital gain", "hours-per-week"]
+    itemset = Itemset.from_pairs(
+        (attr, labels[pick % len(labels)])
+        for attr, pick in zip(attributes, picks)
+    )
+    assert Itemset.parse(str(itemset)) == itemset
 
 
 class TestItemsetOps:
