@@ -2,23 +2,15 @@
 
 The fourth (and default) backend. Like ECLAT it searches the item
 prefix tree depth-first in vertical format, but coverage is a
-``np.packbits``-packed uint8 bitmap instead of a tidset, and — because
-Algorithm 1's outcome channels are one-hot — the channel tallies are
-popcounts instead of row gathers.
-
-Each itemset carries a ``(1 + k, n_bytes)`` *coverage block*: row 0 is
-the coverage bitmap, row ``j`` is ``coverage & channel_j``. ANDing two
-blocks elementwise yields the block of the combined itemset (bitwise
-AND is idempotent on the channel rows), so one broadcast ``AND`` of a
-prefix block against the whole sibling block followed by one popcount
-produces, for every candidate extension at once, the full
-``[support, T, F]`` count vector of Algorithm 1. The
-``channels[tids].sum(axis=0)`` gathers that dominate ECLAT's profile
-disappear entirely, and per-node Python overhead is two numpy calls.
-
-Non-binary channels (the continuous extension's signed fixed-point
-sums) fall back to an unpack-and-gather per survivor, preserving exact
-agreement with the other backends on every input.
+``np.packbits``-packed bitmap instead of a tidset. A node carries only
+its coverage: one broadcast AND against the whole sibling block and one
+popcount give every candidate's support, and survivors' channel sums
+come from the bit-sliced kernel
+(:func:`~repro.fpm.transactions.plane_sums`) over the dataset's
+:attr:`~repro.fpm.transactions.TransactionDataset.channel_planes`,
+``Σ_c = (popcount(cov & planes) @ weights)[c] + support · vmin[c]`` —
+exact int64 arithmetic, one plane per one-hot channel, ``P`` planes for
+the fixed-point channels of the continuous and ranking extensions.
 """
 
 from __future__ import annotations
@@ -29,6 +21,8 @@ from repro.fpm.miner import FrequentItemsets, ItemsetKey, Miner
 from repro.fpm.transactions import (
     _HAS_BITWISE_COUNT,
     TransactionDataset,
+    add_offsets,
+    plane_sums,
     popcount_rows,
 )
 from repro.fpm.vertical import depth_first_mine
@@ -64,114 +58,53 @@ class BitsetMiner(Miner):
     ) -> FrequentItemsets:
         min_count = self._validate(dataset, min_support, max_length)
         n = dataset.n_rows
+        item_bitmaps = _as_words(dataset.packed_item_bitmaps)
+        planes, weights, vmin = dataset.channel_planes
+        sums_of = plane_sums(_as_words(planes), weights)
+        offset = bool(vmin.any())
+
+        def counts_of(coverage: np.ndarray, supports: np.ndarray):
+            # [support, channel sums...] per coverage bitmap.
+            sums = sums_of(coverage)
+            if offset:
+                sums = add_offsets(sums, supports, vmin)
+            return np.concatenate([supports[:, None], sums], axis=1)
+
+        all_rows = _as_words(np.packbits(np.ones((1, n), dtype=bool), axis=1))
         out: dict[ItemsetKey, np.ndarray] = {
-            frozenset(): dataset.counts_for_mask(np.ones(n, dtype=bool))
+            frozenset(): counts_of(all_rows, np.array([n], dtype=np.int64))[0]
         }
         if max_length == 0:
             return FrequentItemsets(out, n, min_support)
 
-        catalog = dataset.catalog
-        item_columns = catalog._item_column
-        one_hot = dataset.n_channels > 0 and dataset.channels_binary
-        if one_hot:
-            expand, roots, root_counts = self._prepare_one_hot(dataset, min_count)
-        else:
-            expand, roots, root_counts = self._prepare_fallback(dataset, min_count)
-
-        root_items = np.flatnonzero(
-            popcount_rows(dataset.packed_item_bitmaps) >= min_count
-        )
-        for index, item_id in enumerate(root_items.tolist()):
-            out[frozenset((item_id,))] = root_counts[index]
-
-        def expand_filtered(prefix_cov, last_col, sib_items, sib_covs):
-            keep = item_columns[sib_items] != last_col
-            return expand(prefix_cov, sib_items[keep], sib_covs[keep])
-
-        depth_first_mine(
-            out, root_items, roots, expand_filtered, catalog.column_of, max_length
-        )
-        return FrequentItemsets(out, n, min_support)
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _prepare_one_hot(dataset: TransactionDataset, min_count: int):
-        """Build root coverage bitmaps and the one-hot expander.
-
-        Coverage is a bare ``(n_words,)`` bitmap; channel tallies come
-        from ANDing each survivor's coverage against the *global*
-        channel bitmaps (idempotence: ``cov & ch_j`` equals the AND of
-        the prefix's and sibling's channel rows). Carrying coverage
-        alone keeps per-node memory traffic independent of the channel
-        count — with N stacked models the channel matrix is wide, and
-        the survivor-only channel pass is what keeps N-model mining
-        close to single-model cost.
-        """
-        item_bitmaps = _as_words(dataset.packed_item_bitmaps)
-        channel_words = _as_words(dataset.packed_channel_bitmaps)
-
-        def channel_counts(coverage: np.ndarray, supports: np.ndarray):
-            rows = coverage[:, None, :] & channel_words[None, :, :]
-            return np.concatenate(
-                [supports[:, None], popcount_rows(rows)], axis=1
-            )
-
         supports = popcount_rows(item_bitmaps)
         frequent = supports >= min_count
+        root_items = np.flatnonzero(frequent)
         roots = item_bitmaps[frequent]
-        root_counts = channel_counts(roots, supports[frequent])
+        for item_id, counts in zip(
+            root_items.tolist(), counts_of(roots, supports[frequent])
+        ):
+            out[frozenset((item_id,))] = counts
 
-        def expand(prefix_cov, sib_items, sib_covs):
+        item_columns = dataset.catalog._item_column
+
+        def expand(prefix_cov, last_col, sib_items, sib_covs):
+            keep = item_columns[sib_items] != last_col
+            sib_items, sib_covs = sib_items[keep], sib_covs[keep]
             if len(sib_items) == 0:
                 return sib_items, sib_covs, sib_covs
-            # Phase 1: support filter on every candidate's coverage;
-            # phase 2: channel tallies for survivors only.
+            # Support filter on every candidate, channel sums for
+            # survivors only: per-node traffic is independent of the
+            # channel count, which keeps N-model mining cheap.
             coverage = prefix_cov[None, :] & sib_covs
             supports = popcount_rows(coverage)
             keep = supports >= min_count
             if not keep.any():
                 return sib_items[:0], sib_covs[:0], sib_covs[:0]
             kept = coverage[keep]
-            return sib_items[keep], kept, channel_counts(kept, supports[keep])
+            return sib_items[keep], kept, counts_of(kept, supports[keep])
 
-        return expand, roots, root_counts
-
-    @staticmethod
-    def _prepare_fallback(dataset: TransactionDataset, min_count: int):
-        """Plain-bitmap expander for non-binary (or absent) channels.
-
-        Coverage is the bare ``(n_bytes,)`` bitmap; channel sums, when
-        present, are gathered from the channel matrix per survivor.
-        """
-        n = dataset.n_rows
-        channels = dataset.channels
-        n_channels = dataset.n_channels
-        item_bitmaps = dataset.packed_item_bitmaps
-
-        def count_vectors(bitmaps: np.ndarray, supports: np.ndarray) -> np.ndarray:
-            if n_channels == 0 or bitmaps.shape[0] == 0:
-                vecs = np.zeros((bitmaps.shape[0], 1 + n_channels), dtype=np.int64)
-                vecs[:, 0] = supports
-                return vecs
-            masks = np.unpackbits(bitmaps, axis=1, count=n).astype(bool)
-            sums = np.stack([channels[m].sum(axis=0) for m in masks])
-            return np.concatenate([supports[:, None], sums], axis=1).astype(
-                np.int64
-            )
-
-        supports = popcount_rows(item_bitmaps)
-        frequent = supports >= min_count
-        roots = item_bitmaps[frequent]
-        root_counts = count_vectors(roots, supports[frequent])
-
-        def expand(prefix_bitmap, sib_items, sib_bitmaps):
-            if len(sib_items) == 0:
-                return sib_items, sib_bitmaps, sib_bitmaps
-            extended = prefix_bitmap[None, :] & sib_bitmaps
-            supports = popcount_rows(extended)
-            keep = supports >= min_count
-            items, extended = sib_items[keep], extended[keep]
-            return items, extended, count_vectors(extended, supports[keep])
-
-        return expand, roots, root_counts
+        depth_first_mine(
+            out, root_items, roots, expand, dataset.catalog.column_of, max_length
+        )
+        return FrequentItemsets(out, n, min_support)

@@ -43,15 +43,14 @@ When the one-hot outcome channels form a complete partition of the rows
 ``support - sum(others)`` — exact in integers — halving channel
 traffic for the common (T, F) case.
 
-Non-binary (dense) channels — the fixed-point (Σw, Σw²) sufficient
-statistics of the continuous and ranking extensions — shard too: the
-raw int64 channel values ride in the shared-memory segment after the
-item bitmaps, each worker keeps a private copy, and per-survivor
-channel sums are computed by unpacking the survivor's support bitmap
-into a row mask and summing the covered values (the sharded counterpart
-of the serial fallback's ``channels[mask].sum(axis=0)``). Sums are
-int64 and additive over row shards, so dense results stay bit-identical
-to serial runs as well.
+Non-binary (dense) channels — the fixed-point (Σw, Σw²) statistics of
+the continuous and ranking extensions — ride as their bit planes
+(:attr:`~repro.fpm.transactions.TransactionDataset.channel_planes`)
+after the item bitmaps, with the plane weights in the load message.
+Dense runs carry coverage only; workers sum survivors through the
+serial miner's kernel (:func:`~repro.fpm.transactions.plane_sums`) over
+a private copy of their planes, and the master adds ``support · vmin``
+after the int64 merge, so dense results stay bit-identical too.
 """
 
 from __future__ import annotations
@@ -65,10 +64,13 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.exceptions import MiningError
+from repro.fpm.bitset import _as_words
 from repro.fpm.miner import FrequentItemsets, ItemsetKey, Miner
 from repro.fpm.transactions import (
     TransactionDataset,
+    add_offsets,
     plan_shards,
+    plane_sums,
     slice_packed_bits,
 )
 from repro.obs import get_registry, span
@@ -97,35 +99,6 @@ _POLL_SECONDS = 0.02
 # Words per support-pass tile (~1 MiB of uint64): bounds the working
 # set of the broadcast AND so survivor-heavy levels stay in cache.
 _WORD_TILE = 1 << 17
-# Unpacked mask elements per dense-channel tile (~4 MiB of uint8):
-# bounds the row-mask working set when summing raw channel values.
-_DENSE_TILE = 1 << 22
-
-
-def _dense_channel_sums(
-    bitmaps: np.ndarray, chan_vals: np.ndarray | None, rows_n: int
-) -> np.ndarray:
-    """Per-bitmap channel-value sums for dense (non-binary) channels.
-
-    ``bitmaps`` is ``(m, words)`` uint64 support bitmaps over the
-    shard's rows; returns the ``(m, k)`` int64 sums of the covered
-    rows' raw channel values — the sharded counterpart of the serial
-    fallback's ``channels[mask].sum(axis=0)``. The packed words are
-    viewed as bytes before unpacking, which recovers the original
-    ``packbits`` byte order regardless of host endianness.
-    """
-    m = bitmaps.shape[0]
-    k = chan_vals.shape[1] if chan_vals is not None else 0
-    out = np.zeros((m, k), dtype=np.int64)
-    if m == 0 or k == 0 or rows_n == 0:
-        return out
-    byte_rows = np.ascontiguousarray(bitmaps).view(np.uint8)
-    chunk = max(1, _DENSE_TILE // rows_n)
-    for a in range(0, m, chunk):
-        b = min(a + chunk, m)
-        masks = np.unpackbits(byte_rows[a:b], axis=1, count=rows_n)
-        out[a:b] = masks.astype(np.int64) @ chan_vals
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -161,33 +134,20 @@ def _worker_main(conn) -> None:
                 conn.close()
                 return
             if kind == "load":
-                _, name, n_items, k, words, dense, rows_n = msg
+                _, name, n_items, k, words, weights = msg
                 # Attaching re-registers the name with the resource
                 # tracker; workers are forked after ensure_running(),
                 # so this is a duplicate add to the master's tracker
                 # set and the master's unlink clears it exactly once.
                 shm = shared_memory.SharedMemory(name=name)
-                # Dense channels ship raw values, not bitmap planes.
-                bitmap_rows = n_items if dense else n_items + k
+                # Channel planes follow the item bitmaps: k binary
+                # channel bitmaps, or the dense channels' bit planes.
+                n_planes = k if weights is None else weights.shape[0]
                 # Explicit shape: an empty shard (words == 0) must
                 # still yield (n_items, 0) views, not a (0, 0) array.
                 arr = np.frombuffer(
-                    shm.buf, dtype=np.uint64, count=bitmap_rows * words
-                ).reshape(bitmap_rows, words)
-                chan_vals = None
-                if dense:
-                    # Private copy of this shard's raw channel values:
-                    # it must survive the segment's close at roots.
-                    chan_vals = (
-                        np.frombuffer(
-                            shm.buf,
-                            dtype=np.int64,
-                            offset=n_items * words * 8,
-                            count=rows_n * k,
-                        )
-                        .reshape(rows_n, k)
-                        .copy()
-                    )
+                    shm.buf, dtype=np.uint64, count=(n_items + n_planes) * words
+                ).reshape(n_items + n_planes, words)
                 state.update(
                     shm=shm,
                     item_w=arr[:n_items],
@@ -195,12 +155,15 @@ def _worker_main(conn) -> None:
                     words=words,
                     k=k,
                     n_items=n_items,
-                    dense=dense,
-                    rows_n=rows_n,
-                    chan_vals=chan_vals,
+                    # Dense channels: a private copy of the planes (it
+                    # must survive the segment's close at roots) and
+                    # the kernel over them.
+                    sums=None
+                    if weights is None
+                    else plane_sums(arr[n_items:].copy(), weights),
                 )
                 chan_w = state["chan_w"]
-                if k and words and not dense:
+                if k and words and weights is None:
                     union = np.bitwise_or.reduce(chan_w, axis=0)
                     or_popc = int(np.bitwise_count(union).sum(dtype=np.int64))
                     sum_popc = int(
@@ -226,6 +189,12 @@ def _worker_main(conn) -> None:
                         item_w[:, None, :], chan_w[None, :kk, :], out=B[:, 1:, :]
                     )
                 counts = np.bitwise_count(B).sum(axis=-1, dtype=np.int64)
+                if state["sums"] is not None:
+                    # Dense: every root's offset sums, merged by int64
+                    # addition at the master like the counts.
+                    counts = np.concatenate(
+                        [counts, state["sums"](B[:, 0])], axis=1
+                    )
                 # The derived blocks are private copies: drop every view
                 # into the segment and close it now, so the master can
                 # unlink without any exported-pointer noise.
@@ -238,16 +207,6 @@ def _worker_main(conn) -> None:
                 conn.send(counts)
             elif kind == "keep_roots":
                 state["B"] = np.ascontiguousarray(state["B"][msg[1]])
-            elif kind == "root_sums":
-                # Dense mode only: raw channel-value sums of the kept
-                # roots' coverage, merged by addition at the master.
-                conn.send(
-                    _dense_channel_sums(
-                        state["B"][:, 0],
-                        state["chan_vals"],
-                        state["rows_n"],
-                    )
-                )
             elif kind == "supports":
                 _, starts, ends, total = msg
                 B = state["B"]
@@ -292,10 +251,8 @@ def _worker_main(conn) -> None:
                 B = state["B"]
                 kk = state["kk"]
                 w = state["words"]
-                dense = state["dense"]
-                chan_vals = state["chan_vals"]
-                rows_n = state["rows_n"]
-                out_cols = state["k"] if dense else kk
+                sums = state["sums"]
+                out_cols = kk if sums is None else state["k"]
                 ch_counts = np.empty((n_next, out_cols), dtype=np.int64)
                 max_m = int((offs[1:] - offs[:-1]).max()) if len(nodes) else 0
                 scratch = np.empty(
@@ -322,15 +279,13 @@ def _worker_main(conn) -> None:
                             s = scratch[:m, :kk]
                             np.bitwise_count(NB[c : c + m, 1:], out=s)
                             ch_counts[c : c + m] = s.sum(axis=-1, dtype=np.int64)
-                        elif dense:
-                            ch_counts[c : c + m] = _dense_channel_sums(
-                                NB[c : c + m, 0], chan_vals, rows_n
-                            )
                         c += m
+                    if sums is not None:
+                        ch_counts = sums(NB[:, 0])
                     state["B"] = NB
                 else:
                     # Final level: counts only, skip materializing the
-                    # next block entirely (dense mode still needs the
+                    # next block entirely (dense channels still need the
                     # survivor coverage, ANDed into scratch).
                     c = 0
                     for i in range(len(nodes)):
@@ -342,12 +297,10 @@ def _worker_main(conn) -> None:
                             np.bitwise_and(B[j, 1:][None, :, :], B[rv, 1:], out=s)
                             np.bitwise_count(s, out=s)
                             ch_counts[c : c + m] = s.sum(axis=-1, dtype=np.int64)
-                        elif dense:
+                        elif sums is not None:
                             s = scratch[:m, 0]
                             np.bitwise_and(B[j, 0][None, :], B[rv, 0], out=s)
-                            ch_counts[c : c + m] = _dense_channel_sums(
-                                s, chan_vals, rows_n
-                            )
+                            ch_counts[c : c + m] = sums(s)
                         c += m
                 conn.send(ch_counts)
             elif kind == "release":
@@ -510,10 +463,10 @@ def shardable(dataset: TransactionDataset) -> bool:
     """Whether the sharded engine supports this dataset.
 
     Requires fork-start workers (shared COW pages, no pickled setup)
-    and at least one row. Binary channels ride as bitmap planes;
+    and at least one row. Binary channels ride as bitmap planes,
     non-binary (dense) channels — the fixed-point sufficient statistics
-    of the continuous and ranking extensions — ship their raw int64
-    values per shard and sum by row masks.
+    of the continuous and ranking extensions — as the bit planes of
+    their offsets from the column minima.
     """
     if "fork" not in mp.get_all_start_methods():
         return False
@@ -607,54 +560,37 @@ def mine_sharded(
 def _export_shards(pool: _ShardPool, dataset: TransactionDataset) -> list:
     """Slice, pad and publish each shard through shared memory.
 
-    Binary channels are packed bitmap planes right after the item
-    bitmaps; dense channels instead append the shard's raw int64
-    channel values (``rows * k`` values) to the segment.
+    Each segment holds the shard's item bitmaps followed by its channel
+    planes (:attr:`~repro.fpm.transactions.TransactionDataset.
+    channel_planes`): the binary channel bitmaps, or the dense channels'
+    bit planes, whose weights ride in the load message.
     """
     n = dataset.n_rows
     k = dataset.n_channels
-    dense = k > 0 and not dataset.channels_binary
     n_items = dataset.catalog.n_items
     bounds = plan_shards(n, pool.n)
-    packed_items = dataset.packed_item_bitmaps
-    packed_channels = dataset.packed_channel_bitmaps if k and not dense else None
+    planes, weights, _ = dataset.channel_planes
+    blocks = (dataset.packed_item_bitmaps, planes)
+    n_bitmaps = n_items + planes.shape[0]
+    dense_weights = None if dataset.channels_binary else weights
     segments = []
     for index in range(pool.n):
         start, stop = bounds[index], bounds[index + 1]
-        rows = stop - start
-        words = (rows + 63) // 64
-        bitmap_rows = n_items if dense else n_items + k
-        size = bitmap_rows * words * 8 + (rows * k * 8 if dense else 0)
-        segment = shared_memory.SharedMemory(create=True, size=max(8, size))
-        if rows:
+        words = (stop - start + 63) // 64
+        segment = shared_memory.SharedMemory(
+            create=True, size=max(8, n_bitmaps * words * 8)
+        )
+        if words:
             view = np.frombuffer(
-                segment.buf, dtype=np.uint64, count=bitmap_rows * words
+                segment.buf, dtype=np.uint64, count=n_bitmaps * words
             ).reshape(-1, words)
-            item_slice = slice_packed_bits(packed_items, start, stop)
-            pad = (-item_slice.shape[1]) % 8
-            if pad:
-                item_slice = np.pad(item_slice, [(0, 0), (0, pad)])
-            view[:n_items] = np.ascontiguousarray(item_slice).view(np.uint64)
-            if packed_channels is not None:
-                chan_slice = slice_packed_bits(packed_channels, start, stop)
-                if pad:
-                    chan_slice = np.pad(chan_slice, [(0, 0), (0, pad)])
-                view[n_items:] = np.ascontiguousarray(chan_slice).view(
-                    np.uint64
-                )
+            view[:] = np.concatenate(
+                [_as_words(slice_packed_bits(b, start, stop)) for b in blocks]
+            )
             del view  # release the exported buffer before any close()
-            if dense:
-                vals = np.frombuffer(
-                    segment.buf,
-                    dtype=np.int64,
-                    offset=n_items * words * 8,
-                    count=rows * k,
-                ).reshape(rows, k)
-                vals[:] = dataset.channels[start:stop]
-                del vals
         segments.append(segment)
         pool.send(
-            index, ("load", segment.name, n_items, k, words, dense, rows)
+            index, ("load", segment.name, n_items, k, words, dense_weights)
         )
     return segments
 
@@ -668,7 +604,8 @@ def _mine_into(
 ) -> None:
     n = dataset.n_rows
     k = dataset.n_channels
-    dense = k > 0 and not dataset.channels_binary
+    dense = not dataset.channels_binary
+    vmin = dataset.channel_planes[2]
     cols = dataset.catalog._item_column
     offsets = dataset.catalog.offsets
     registry = get_registry()
@@ -685,8 +622,8 @@ def _mine_into(
             or_total = sum(s[0] for s in stats)
             sum_total = sum(s[1] for s in stats)
             complete = not dense and k >= 1 and or_total == n and sum_total == n
-            # Dense channels have no bitmap planes at all; their sums
-            # come from the raw values instead.
+            # Dense runs carry coverage only; workers sum the channels
+            # through their private planes.
             kk = 0 if dense else (k - 1 if complete else k)
             pool.broadcast(("roots", kk))
             root_counts = sum(pool.gather())
@@ -701,6 +638,10 @@ def _mine_into(
                 pass
 
     def full(sup: np.ndarray, ch: np.ndarray) -> np.ndarray:
+        if dense:
+            # Workers sum offsets from the channel minima; the merged
+            # support restores them.
+            ch = add_offsets(ch, sup, vmin)
         if not complete:
             return np.concatenate([sup[:, None], ch], axis=1)
         last = sup - ch.sum(axis=1)
@@ -711,21 +652,8 @@ def _mine_into(
         frequent = root_support >= min_count
         freq_items = np.flatnonzero(frequent)
     pool.broadcast(("keep_roots", frequent), replies=False)
-    if dense:
-        # Kept roots only: one extra round gathers their raw-value
-        # channel sums, merged by int64 addition like everything else.
-        pool.broadcast(("root_sums",))
-        with span("fpm.shard.count"):
-            root_ch = sum(pool.gather())
     with span("fpm.shard.merge"):
-        if dense:
-            root_vectors = np.concatenate(
-                [root_support[frequent][:, None], root_ch], axis=1
-            )
-        else:
-            root_vectors = full(
-                root_support[frequent], root_counts[frequent, 1:]
-            )
+        root_vectors = full(root_support[frequent], root_counts[frequent, 1:])
         for j, item in enumerate(freq_items.tolist()):
             out[frozenset((item,))] = root_vectors[j]
 

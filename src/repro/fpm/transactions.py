@@ -50,6 +50,120 @@ def popcount_rows(packed: np.ndarray) -> np.ndarray:
     return _POPCOUNT[packed].sum(axis=-1)
 
 
+# Elements (words, or bytes on the lookup-table path) per AND block of
+# the channel-sum kernel: ~1 MiB, so wide dense runs stay in cache.
+_PLANE_TILE = 1 << 17
+# Rows per tile when slicing channel values into bit planes; a multiple
+# of 8, so every tile packs to whole bytes.
+_SLICE_ROWS = 1 << 16
+
+
+def bit_planes(
+    channels: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bit-sliced ``(planes, weights, vmin)`` form of int64 channels.
+
+    Bit ``b < bit_length(max_c - vmin[c])`` of channel ``c``'s offsets
+    from its minimum becomes one packed row bitmap, less all-zero and
+    merged identical planes; ``weights[p]`` holds plane ``p``'s ``2**b``
+    per channel. For any row mask, ``popcount(mask & planes) @ weights
+    + popcount(mask) * vmin`` is ``channels[mask].sum(axis=0)`` bit for
+    bit (int64 arithmetic mod 2**64). Built row tile by row tile, one
+    plane at a time: no ``(n_rows, 64)`` bit matrix is ever allocated.
+    """
+    n_rows, k = channels.shape
+    if n_rows == 0:
+        vmin = np.zeros(k, dtype=np.int64)
+        return np.zeros((0, 0), np.uint8), np.zeros((0, k), np.int64), vmin
+    # Column by column: an axis-0 reduction over the row-major matrix
+    # is an order of magnitude slower.
+    vmin = np.array([column.min() for column in channels.T], dtype=np.int64)
+    vmax = np.array([column.max() for column in channels.T], dtype=np.int64)
+    # uint64 subtraction wraps to the true non-negative offset.
+    base = vmin.view(np.uint64)
+    spans = vmax.view(np.uint64) - base
+    bit_index = [
+        c * 64 + b for c in range(k) for b in range(int(spans[c]).bit_length())
+    ]
+    raw = np.empty((len(bit_index), (n_rows + 7) // 8), dtype=np.uint8)
+    for start in range(0, n_rows if bit_index else 0, _SLICE_ROWS):
+        stop = min(start + _SLICE_ROWS, n_rows)
+        offsets = (channels[start:stop].view(np.uint64) - base).astype(
+            "<u8", copy=False
+        )
+        # Row j holds byte j % 8 of channel j // 8 for every tile row.
+        byte_rows = np.ascontiguousarray(
+            offsets.view(np.uint8).reshape(stop - start, 8 * k).T
+        )
+        for p, index in enumerate(bit_index):
+            raw[p, start // 8 : (stop + 7) // 8] = np.packbits(
+                byte_rows[index // 8] & np.uint8(1 << (index % 8))
+            )
+    # Drop all-zero planes; merge identical ones by OR-ing their (distinct)
+    # bit weights. A digest collision only leaves a plane unmerged.
+    weights = np.zeros((len(bit_index), k), dtype=np.uint64)
+    first: dict[bytes, int] = {}
+    keep: list[int] = []
+    for p, index in enumerate(bit_index):
+        if not raw[p].any():
+            continue
+        q = first.setdefault(hashlib.blake2b(raw[p], digest_size=16).digest(), p)
+        if q != p and not np.array_equal(raw[q], raw[p]):
+            q = p
+        if q == p:
+            keep.append(p)
+        weights[q, index // 64] |= np.uint64(1 << (index % 64))
+    return raw[keep], weights[keep].view(np.int64), vmin
+
+
+def plane_sums(planes: np.ndarray, weights: np.ndarray):
+    """The bit-sliced channel-sum kernel over fixed ``planes``.
+
+    Returns ``sums(coverage)``: for ``(m, words)`` coverage bitmaps of
+    the planes' dtype and width, the ``(m, k)`` int64
+    ``popcount(coverage & planes) @ weights``, i.e. each channel's sum
+    of offsets mod 2**64 (:func:`add_offsets` restores the minima). A
+    block that fits one tile is one broadcast AND and one popcount, and
+    identity weights (binary channels) skip the matmul.
+    """
+    n_planes, words = planes.shape
+    identity = weights.shape == (n_planes, n_planes) and np.array_equal(
+        weights, np.eye(n_planes, dtype=np.int64)
+    )
+    unsigned = weights.view(np.uint64)
+    # A survivor wider than a tile runs alone, over plane chunks.
+    tile = max(1, _PLANE_TILE // max(1, n_planes * words))
+    plane_tile = n_planes if tile > 1 else max(1, _PLANE_TILE // max(1, words))
+    block = planes[None]
+
+    def sums(coverage: np.ndarray) -> np.ndarray:
+        m = coverage.shape[0]
+        if m <= tile:
+            counts = popcount_rows(coverage[:, None, :] & block)
+        else:
+            counts = np.empty((m, n_planes), dtype=np.int64)
+            for start in range(0, m, tile):
+                survivors = coverage[start : start + tile, None, :]
+                for first in range(0, n_planes, plane_tile):
+                    chunk = block[:, first : first + plane_tile]
+                    counts[
+                        start : start + tile, first : first + plane_tile
+                    ] = popcount_rows(survivors & chunk)
+        if identity:
+            return counts
+        return (counts.view(np.uint64) @ unsigned).view(np.int64)
+
+    return sums
+
+
+def add_offsets(
+    sums: np.ndarray, supports: np.ndarray, vmin: np.ndarray
+) -> np.ndarray:
+    """``sums + supports * vmin`` per channel, mod 2**64 like int64 sums."""
+    shifted = supports.astype(np.uint64)[:, None] * vmin.view(np.uint64)
+    return (sums.view(np.uint64) + shifted).view(np.int64)
+
+
 def dense_item_rows(item_matrix: np.ndarray, n_items: int) -> np.ndarray:
     """``(n_items, n_rows) bool`` coverage matrix of a global-id matrix.
 
@@ -331,6 +445,7 @@ class TransactionDataset:
         # them (Apriori, FP-growth) never pay for it.
         self._packed_items: np.ndarray | None = None
         self._packed_channels: np.ndarray | None = None
+        self._channel_planes: tuple[np.ndarray, ...] | None = None
         self._channels_binary: bool | None = None
         self._fingerprint: str | None = None
 
@@ -389,7 +504,8 @@ class TransactionDataset:
         cached :meth:`fingerprint` is invalidated so a grown dataset can
         never alias a :class:`~repro.fpm.cache.MiningCache` entry of its
         shorter past self. Channel binariness is re-examined against the
-        batch: a non-binary batch drops the packed channel bitmaps.
+        batch: a non-binary batch drops the packed channel bitmaps. The
+        cached :attr:`channel_planes` are always dropped.
         """
         mat = np.asarray(matrix)
         if mat.ndim != 2 or mat.shape[1] != len(self.catalog.attributes):
@@ -442,6 +558,8 @@ class TransactionDataset:
             self._channels_binary = False
         elif self._channels_binary is not True:
             self._channels_binary = None  # re-derive lazily over all rows
+        # The batch can move a channel's minimum or widen its range.
+        self._channel_planes = None
         # A grown dataset is a different dataset: a stale fingerprint
         # here would alias MiningCache entries of the pre-append state.
         self._fingerprint = None
@@ -455,10 +573,6 @@ class TransactionDataset:
         j = self.catalog.column_of(item_id)
         code = item_id - int(self.catalog.offsets[j])
         return self.matrix[:, j] == code
-
-    def item_masks(self) -> list[np.ndarray]:
-        """Boolean coverage masks for every item id, in id order."""
-        return [self.item_mask(i) for i in range(self.catalog.n_items)]
 
     def counts_for_mask(self, mask: np.ndarray) -> np.ndarray:
         """``[support_count, channel sums...]`` for a boolean row mask."""
@@ -541,6 +655,26 @@ class TransactionDataset:
                 self.channels.T.astype(bool), axis=1
             )
         return self._packed_channels
+
+    @property
+    def channel_planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(planes, weights, vmin)``: the channels as bit planes.
+
+        See :func:`bit_planes`; binary channels are the one-plane case,
+        :attr:`packed_channel_bitmaps` with identity weights and zero
+        minima. Built at the first mine, cached, dropped by :meth:`extend`.
+        """
+        if self._channel_planes is None:
+            k = self.n_channels
+            if self.channels_binary:
+                self._channel_planes = (
+                    self.packed_channel_bitmaps,
+                    np.eye(k, dtype=np.int64),
+                    np.zeros(k, dtype=np.int64),
+                )
+            else:
+                self._channel_planes = bit_planes(self.channels)
+        return self._channel_planes
 
     def fingerprint(self) -> str:
         """Content hash identifying (matrix, channels, catalog) exactly.

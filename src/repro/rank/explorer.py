@@ -27,7 +27,7 @@ from repro.fpm.miner import mine_frequent
 from repro.fpm.transactions import ItemCatalog, TransactionDataset
 from repro.obs import get_registry
 from repro.rank.result import RankDivergenceResult
-from repro.rank.weights import rank_weights
+from repro.rank.weights import rank_positions, rank_weights
 from repro.resilience import CancelToken, Deadline, cancel_scope, checkpoint
 from repro.tabular.table import Table
 
@@ -91,6 +91,9 @@ class RankDivergenceExplorer:
             attributes, [table.categorical(n).categories for n in attributes]
         )
         self._matrix = table.encoded_matrix(attributes)
+        # Rank positions of the scores: one stable argsort, computed at
+        # the first rank-based weight model and shared by all of them.
+        self._ranks: np.ndarray | None = None
         # One TransactionDataset per (weight_model, topk): the packed
         # bitmaps and the mining-cache fingerprint stay warm across
         # explore() calls.
@@ -156,8 +159,13 @@ class RankDivergenceExplorer:
 
     def weights(self, weight_model: str, topk: int | None = None) -> np.ndarray:
         """The per-instance weight vector a model assigns to this data."""
+        if weight_model != "score" and self._ranks is None:
+            self._ranks = rank_positions(self.scores)
         return rank_weights(
-            self.scores, weight_model, k=topk if weight_model == "topk" else None
+            self.scores,
+            weight_model,
+            k=topk if weight_model == "topk" else None,
+            ranks=self._ranks,
         )
 
     def _dataset_for(

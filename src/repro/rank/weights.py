@@ -50,7 +50,10 @@ def rank_positions(scores: np.ndarray) -> np.ndarray:
 
 
 def rank_weights(
-    scores: np.ndarray, model: str, k: int | None = None
+    scores: np.ndarray,
+    model: str,
+    k: int | None = None,
+    ranks: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-instance weights of a ranking outcome.
 
@@ -63,6 +66,9 @@ def rank_weights(
     k:
         Top-list size; required by (and only meaningful for) the
         ``topk`` model.
+    ranks:
+        ``rank_positions(scores)``, when the caller already has it:
+        one argsort then serves every rank-based model.
 
     Returns
     -------
@@ -76,7 +82,8 @@ def rank_weights(
             f"unknown weight model {model!r}; expected one of "
             f"{', '.join(WEIGHT_MODELS)}"
         )
-    ranks = rank_positions(scores)
+    if ranks is None:
+        ranks = rank_positions(scores)
     if model == "exposure":
         return 1.0 / np.log2(ranks + 1.0)
     if model == "reciprocal_rank":

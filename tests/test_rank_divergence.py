@@ -141,6 +141,30 @@ def rank_explorer(ranking_data):
 
 
 class TestRankExplorer:
+    def test_weights_share_one_ranking(self, ranking_data, monkeypatch):
+        import repro.rank.explorer as rank_explorer_module
+
+        calls = []
+
+        def counted(scores):
+            calls.append(1)
+            return rank_positions(scores)
+
+        monkeypatch.setattr(rank_explorer_module, "rank_positions", counted)
+        # Rounded scores add ties, which the stable ranking breaks by
+        # row index.
+        scores = np.round(ranking_data.table.continuous("score").values, 1)
+        explorer = RankDivergenceExplorer(
+            ranking_data.table, scores, attributes=ranking_data.attributes
+        )
+        for model in WEIGHT_MODELS:
+            for k in (1, 250, 10_000) if model == "topk" else (None,):
+                got = explorer.weights(model, k)
+                want = rank_weights(scores, model, k=k)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (model, k)
+        assert len(calls) == 1
+
     def test_score_length_mismatch_rejected(self, ranking_data):
         with pytest.raises(ReproError, match="length"):
             RankDivergenceExplorer(

@@ -89,20 +89,25 @@ class TestVectorizedTableMatchesOracle:
         )
         oracle_check(explorer, result, rank_weights(scores, model))
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=10, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         n_workers=st.sampled_from([2, 3]),
+        # exposure: positive weights; score: negative values (a
+        # non-zero channel minimum); topk: both channels {0, SCALE},
+        # whose bit planes merge into one.
+        model=st.sampled_from([("exposure", None), ("score", None), ("topk", 40)]),
     )
-    def test_sharded_any_row_partition(self, seed, n_workers):
+    def test_sharded_any_row_partition(self, seed, n_workers, model):
         # Worker counts induce different row partitions; each must
         # reproduce the oracle statistics exactly.
         explorer, scores = build_case(seed)
+        name, k = model
         result = explorer.explore(
-            "exposure", min_support=0.1, n_workers=n_workers,
+            name, min_support=0.1, topk=k, n_workers=n_workers,
             use_cache=False,
         )
-        oracle_check(explorer, result, rank_weights(scores, "exposure"))
+        oracle_check(explorer, result, rank_weights(scores, name, k=k))
 
     @settings(max_examples=6, deadline=None)
     @given(
