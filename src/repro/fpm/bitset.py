@@ -1,31 +1,56 @@
-"""Bitset-vertical miner: packed coverage bitmaps and popcount tallies.
+"""Bitset miner: a level-wise frontier engine over packed bitmaps.
 
-The fourth (and default) backend. Like ECLAT it searches the item
-prefix tree depth-first in vertical format, but coverage is a
-``np.packbits``-packed bitmap instead of a tidset. A node carries only
-its coverage: one broadcast AND against the whole sibling block and one
-popcount give every candidate's support, and survivors' channel sums
-come from the bit-sliced kernel
-(:func:`~repro.fpm.transactions.plane_sums`) over the dataset's
-:attr:`~repro.fpm.transactions.TransactionDataset.channel_planes`,
-``Σ_c = (popcount(cov & planes) @ weights)[c] + support · vmin[c]`` —
-exact int64 arithmetic, one plane per one-hot channel, ``P`` planes for
-the fixed-point channels of the continuous and ranking extensions.
+The default backend (``"eclat"`` is an alias of it). Coverage is a
+``np.packbits``-packed row bitmap, viewed as uint64 words when numpy
+has ``bitwise_count``. The item prefix tree is walked one *frontier* at
+a time: the nodes of one level, held as
+
+- ``keys``, the ``(m, depth)`` uint32 item ids of every node's itemset
+  (its last column is the node's last item);
+- ``cov``, the ``(m, words)`` coverage bitmaps;
+- the node's candidate range ``[start, end)`` into the same frontier.
+
+Items are in fixed id order, so a node's siblings (the other children
+of its parent) follow it contiguously, and the same-column ones come
+first: :func:`candidate_starts` skips past the column's last item id
+with one ``searchsorted`` for the whole frontier, and ``end`` is the
+sibling group's end. Expanding a frontier is a fixed number of numpy
+calls per candidate tile, however many nodes share it: the AND of every
+(node, candidate) pair, a popcount and the ``>= min_count`` filter.
+Once per block follow the channel sums of the survivors only, through
+the bit-sliced kernel (:func:`~repro.fpm.transactions.plane_sums`,
+``Σ_c = (popcount(cov & planes) @ weights)[c] + support · vmin[c]``,
+exact int64 arithmetic), and the next key matrix from ``keys[parent]``
+plus the new item.
+
+Two bounds keep wide bitmaps fast and memory flat:
+
+- *Candidate tiles*: consecutive nodes are ANDed together while their
+  candidates fit :data:`~repro.fpm.transactions._PLANE_TILE` words. A
+  tile of one node ANDs its contiguous sibling slice by broadcast, with
+  no index gather — the wide-bitmap (many-row) case.
+- *Frontier blocks*: a frontier is expanded in runs of nodes whose
+  candidates fit :data:`~repro.fpm.transactions._FRONTIER_BYTES`, taken
+  depth-first from a stack. A run always sees its nodes' whole sibling
+  groups, because the frontier's coverage is never split, so only one
+  block's children per level are held at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.fpm import transactions
 from repro.fpm.miner import FrequentItemsets, ItemsetKey, Miner
 from repro.fpm.transactions import (
     _HAS_BITWISE_COUNT,
+    ItemCatalog,
     TransactionDataset,
     add_offsets,
     plane_sums,
     popcount_rows,
 )
-from repro.fpm.vertical import depth_first_mine
+from repro.resilience import checkpoint
 
 
 def _as_words(packed: np.ndarray) -> np.ndarray:
@@ -45,8 +70,44 @@ def _as_words(packed: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
+def candidate_starts(
+    last: np.ndarray, group_end: np.ndarray, catalog: ItemCatalog
+) -> np.ndarray:
+    """First candidate of every frontier node, in one ``searchsorted``.
+
+    Node ``j``'s candidates are its later siblings outside its own
+    column: ``[start[j], group_end[j])``. Sibling groups are contiguous
+    with increasing ends and id-sorted items, so ``(group_end, item)``
+    sorts the whole frontier and each node searches past its column's
+    last item within its own group.
+    """
+    stride = catalog.n_items + 1
+    order = group_end * stride + last
+    limit = catalog.offsets[catalog._item_column[last] + 1]
+    return np.searchsorted(order, group_end * stride + limit)
+
+
+def candidate_pairs(
+    starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(parent, candidate)`` frontier indices, node by node."""
+    sizes = ends - starts
+    parent = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.cumsum(sizes) - sizes
+    return parent, np.arange(len(parent)) - np.repeat(first - starts, sizes)
+
+
+def group_ends(parent: np.ndarray) -> np.ndarray:
+    """Per child, the end of its sibling group (children of one parent).
+
+    ``parent`` must be sorted, as :func:`candidate_pairs` emits it.
+    """
+    ends = np.append(np.flatnonzero(np.diff(parent)) + 1, len(parent))
+    return np.repeat(ends, np.diff(ends, prepend=0))
+
+
 class BitsetMiner(Miner):
-    """Depth-first vertical miner over packed-bitmap intersections."""
+    """Level-wise vertical miner over packed-bitmap intersections."""
 
     name = "bitset"
 
@@ -58,53 +119,112 @@ class BitsetMiner(Miner):
     ) -> FrequentItemsets:
         min_count = self._validate(dataset, min_support, max_length)
         n = dataset.n_rows
+        catalog = dataset.catalog
         item_bitmaps = _as_words(dataset.packed_item_bitmaps)
         planes, weights, vmin = dataset.channel_planes
         sums_of = plane_sums(_as_words(planes), weights)
         offset = bool(vmin.any())
 
-        def counts_of(coverage: np.ndarray, supports: np.ndarray):
-            # [support, channel sums...] per coverage bitmap.
+        def record(keys: np.ndarray, coverage: np.ndarray, supports):
+            # [support, channel sums...] per node, keyed by item set.
             sums = sums_of(coverage)
             if offset:
                 sums = add_offsets(sums, supports, vmin)
-            return np.concatenate([supports[:, None], sums], axis=1)
+            counts = np.concatenate([supports[:, None], sums], axis=1)
+            out.update(zip(map(frozenset, keys.tolist()), counts))
 
         all_rows = _as_words(np.packbits(np.ones((1, n), dtype=bool), axis=1))
-        out: dict[ItemsetKey, np.ndarray] = {
-            frozenset(): counts_of(all_rows, np.array([n], dtype=np.int64))[0]
-        }
+        out: dict[ItemsetKey, np.ndarray] = {}
+        record(
+            np.empty((1, 0), dtype=np.uint32),
+            all_rows,
+            np.array([n], dtype=np.int64),
+        )
         if max_length == 0:
             return FrequentItemsets(out, n, min_support)
 
         supports = popcount_rows(item_bitmaps)
         frequent = supports >= min_count
-        root_items = np.flatnonzero(frequent)
-        roots = item_bitmaps[frequent]
-        for item_id, counts in zip(
-            root_items.tolist(), counts_of(roots, supports[frequent])
-        ):
-            out[frozenset((item_id,))] = counts
+        keys = np.flatnonzero(frequent).astype(np.uint32)[:, None]
+        cov = item_bitmaps[frequent]
+        record(keys, cov, supports[frequent])
 
-        item_columns = dataset.catalog._item_column
+        words = cov.shape[1]
+        tile = max(1, transactions._CANDIDATE_TILE // max(1, words))
+        node_bytes = max(1, words * cov.itemsize)
+        block = max(1, transactions._FRONTIER_BYTES // node_bytes)
+        stack: list = []
 
-        def expand(prefix_cov, last_col, sib_items, sib_covs):
-            keep = item_columns[sib_items] != last_col
-            sib_items, sib_covs = sib_items[keep], sib_covs[keep]
-            if len(sib_items) == 0:
-                return sib_items, sib_covs, sib_covs
-            # Support filter on every candidate, channel sums for
-            # survivors only: per-node traffic is independent of the
-            # channel count, which keeps N-model mining cheap.
-            coverage = prefix_cov[None, :] & sib_covs
-            supports = popcount_rows(coverage)
-            keep = supports >= min_count
-            if not keep.any():
-                return sib_items[:0], sib_covs[:0], sib_covs[:0]
-            kept = coverage[keep]
-            return sib_items[keep], kept, counts_of(kept, supports[keep])
+        def push(keys: np.ndarray, cov: np.ndarray, group_end: np.ndarray):
+            # Cut the frontier into runs of at most ``block`` candidates
+            # (a node with more runs alone), last run pushed first.
+            if max_length is not None and keys.shape[1] >= max_length:
+                return
+            starts = candidate_starts(keys[:, -1], group_end, catalog)
+            total = np.cumsum(group_end - starts)
+            if not len(total) or not total[-1]:
+                return
+            cuts = [0]
+            while cuts[-1] < len(total):
+                done = total[cuts[-1] - 1] if cuts[-1] else 0
+                cut = int(np.searchsorted(total, done + block, side="right"))
+                cuts.append(max(cut, cuts[-1] + 1))
+            for lo, hi in zip(cuts[-2::-1], cuts[:0:-1]):
+                stack.append((keys, cov, starts, group_end, lo, hi))
 
-        depth_first_mine(
-            out, root_items, roots, expand, dataset.catalog.column_of, max_length
-        )
+        push(keys, cov, np.full(len(keys), len(keys)))
+        while stack:
+            keys, cov, starts, ends, lo, hi = stack.pop()
+            parent, cand = candidate_pairs(starts[lo:hi], ends[lo:hi])
+            parent += lo
+            # Survivors are compacted into ``child`` tile by tile; its
+            # untouched tail is never paged in.
+            child = np.empty((len(parent), words), dtype=cov.dtype)
+            kept = np.empty(len(parent), dtype=bool)
+            child_sup = np.empty(len(parent), dtype=np.int64)
+            bounds = np.cumsum(ends[lo:hi] - starts[lo:hi])
+            filled = first = 0
+            while first < len(parent):
+                checkpoint("fpm.dfs")
+                # Whole nodes up to ``tile`` candidates; a node with more
+                # runs alone.
+                fit = int(np.searchsorted(bounds, first + tile, side="right"))
+                stop = int(bounds[fit - 1]) if fit else 0
+                if stop <= first:
+                    stop = int(bounds[np.searchsorted(bounds, first, "right")])
+                dst = child[filled : filled + stop - first]
+                if parent[first] == parent[stop - 1]:
+                    # One node: broadcast AND over its contiguous
+                    # sibling slice, no gather.
+                    np.bitwise_and(
+                        cov[parent[first]],
+                        cov[cand[first] : cand[stop - 1] + 1],
+                        out=dst,
+                    )
+                else:
+                    np.take(cov, parent[first:stop], axis=0, out=dst, mode="clip")
+                    dst &= cov[cand[first:stop]]
+                sup = popcount_rows(dst)
+                keep = sup >= min_count
+                kept[first:stop] = keep
+                survivors = int(np.count_nonzero(keep))
+                if survivors < len(keep):
+                    child[filled : filled + survivors] = dst[keep]
+                child_sup[filled : filled + survivors] = sup[keep]
+                filled += survivors
+                first = stop
+            if not filled:
+                continue
+            parent, cand = parent[kept], cand[kept]
+            child_keys = np.concatenate(
+                [keys[parent], keys[cand, -1:]], axis=1
+            )
+            record(child_keys, child[:filled], child_sup[:filled])
+            push(child_keys, child[:filled], group_ends(parent))
         return FrequentItemsets(out, n, min_support)
+
+
+class EclatMiner(BitsetMiner):
+    """``"eclat"``: the same engine, counted under its own name."""
+
+    name = "eclat"

@@ -164,11 +164,12 @@ def mine_frequent(
 ) -> FrequentItemsets:
     """Mine frequent itemsets with the chosen backend.
 
-    ``algorithm`` is one of ``"bitset"`` (the default: packed-bitmap
-    vertical search, fastest), ``"fpgrowth"``, ``"apriori"``,
-    ``"eclat"`` or ``"bruteforce"`` (the latter only suitable for small
-    data; it exists as a correctness oracle). All backends produce
-    identical results.
+    ``algorithm`` is one of ``"bitset"`` (the default: the level-wise
+    packed-bitmap engine, fastest), ``"eclat"`` (the same engine, timed
+    and counted under its own name), ``"fpgrowth"``, ``"apriori"`` or
+    ``"bruteforce"`` (the latter only suitable for small data; it
+    exists as a correctness oracle). All backends produce identical
+    results.
 
     ``n_workers`` routes the run through the row-sharded parallel
     engine (:mod:`repro.fpm.sharded`): ``None`` or ``1`` is serial,
@@ -179,9 +180,8 @@ def mine_frequent(
     still validated against it by the test suite.
     """
     from repro.fpm.apriori import AprioriMiner
-    from repro.fpm.bitset import BitsetMiner
+    from repro.fpm.bitset import BitsetMiner, EclatMiner
     from repro.fpm.bruteforce import BruteForceMiner
-    from repro.fpm.eclat import EclatMiner
     from repro.fpm.fpgrowth import FPGrowthMiner
 
     miners = {

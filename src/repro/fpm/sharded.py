@@ -64,7 +64,12 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.exceptions import MiningError
-from repro.fpm.bitset import _as_words
+from repro.fpm.bitset import (
+    _as_words,
+    candidate_pairs,
+    candidate_starts,
+    group_ends,
+)
 from repro.fpm.miner import FrequentItemsets, ItemsetKey, Miner
 from repro.fpm.transactions import (
     TransactionDataset,
@@ -606,8 +611,7 @@ def _mine_into(
     k = dataset.n_channels
     dense = not dataset.channels_binary
     vmin = dataset.channel_planes[2]
-    cols = dataset.catalog._item_column
-    offsets = dataset.catalog.offsets
+    catalog = dataset.catalog
     registry = get_registry()
 
     segments = []
@@ -654,111 +658,46 @@ def _mine_into(
     pool.broadcast(("keep_roots", frequent), replies=False)
     with span("fpm.shard.merge"):
         root_vectors = full(root_support[frequent], root_counts[frequent, 1:])
-        for j, item in enumerate(freq_items.tolist()):
-            out[frozenset((item,))] = root_vectors[j]
+        keys = freq_items.astype(np.uint32)[:, None]
+        out.update(zip(map(frozenset, keys.tolist()), root_vectors))
+        group_end = np.full(len(keys), len(keys))
+        starts = candidate_starts(keys[:, -1], group_end, catalog)
 
-    prefixes = [(int(item),) for item in freq_items.tolist()]
-    item_of_row = freq_items
-    group_end = np.full(len(prefixes), len(prefixes), dtype=np.int64)
-
-    def cand_ranges(item_of_row, group_end):
-        """Per node: the [start, end) row range of its candidates.
-
-        Items are in fixed id order, so a node's same-column siblings
-        form one contiguous run immediately after it; skipping past the
-        column's offset boundary leaves exactly the cross-column
-        candidates the serial miner's column filter would keep.
-        """
-        n_nodes = len(item_of_row)
-        starts = np.empty(n_nodes, dtype=np.int64)
-        for j in range(n_nodes):
-            end = group_end[j]
-            column_limit = offsets[cols[item_of_row[j]] + 1]
-            starts[j] = (
-                j
-                + 1
-                + np.searchsorted(item_of_row[j + 1 : end], column_limit)
-            )
-        return starts, group_end
-
-    depth = 1
-    while prefixes:
-        if max_length is not None and depth >= max_length:
-            break
+    # The frontier is the serial miner's: key matrix, candidate ranges.
+    while max_length is None or keys.shape[1] < max_length:
         checkpoint("fpm.shard.level")
-        starts, ends = cand_ranges(item_of_row, group_end)
-        total = int(np.maximum(ends - starts, 0).sum())
+        total = int((group_end - starts).sum())
         if total == 0:
             break
         registry.counter("fpm.shard.levels").inc()
-        pool.broadcast(("supports", starts, ends, total))
+        pool.broadcast(("supports", starts, group_end, total))
         with span("fpm.shard.count"):
             supports = sum(pool.gather())
         with span("fpm.shard.merge"):
-            nodes_l: list[int] = []
-            offs_l = [0]
-            rows_parts: list[np.ndarray] = []
-            sup_parts: list[np.ndarray] = []
-            new_prefixes: list[tuple[int, ...]] = []
-            sizes: list[int] = []
-            pos = 0
-            for j in range(len(prefixes)):
-                a, e = int(starts[j]), int(ends[j])
-                m = e - a
-                if m <= 0:
-                    continue
-                sup = supports[pos : pos + m]
-                ok = sup >= min_count
-                survivors = np.arange(a, e)[ok]
-                if len(survivors):
-                    nodes_l.append(j)
-                    offs_l.append(offs_l[-1] + len(survivors))
-                    rows_parts.append(survivors)
-                    sup_parts.append(sup[ok])
-                    sizes.append(len(survivors))
-                    prefix = prefixes[j]
-                    for row in survivors.tolist():
-                        new_prefixes.append(
-                            prefix + (int(item_of_row[row]),)
-                        )
-                pos += m
-            if not nodes_l:
+            parent, rows = candidate_pairs(starts, group_end)
+            keep = supports >= min_count
+            if not keep.any():
                 break
-            nodes = np.asarray(nodes_l, dtype=np.int64)
-            offs = np.asarray(offs_l, dtype=np.int64)
-            rows = np.concatenate(rows_parts)
-            sup_survivors = np.concatenate(sup_parts)
-            n_next = len(rows)
-            next_item_of_row = item_of_row[rows]
-            next_group_end = np.empty(n_next, dtype=np.int64)
-            cursor = 0
-            for size in sizes:
-                next_group_end[cursor : cursor + size] = cursor + size
-                cursor += size
-            # When the level after this one cannot produce candidates
-            # (length cap hit, or no cross-column siblings anywhere)
-            # the workers count channels without materializing the next
-            # block at all — the largest write on survivor-heavy runs.
-            if max_length is not None and depth + 1 >= max_length:
-                next_total = 0
-            else:
-                next_starts, next_ends = cand_ranges(
-                    next_item_of_row, next_group_end
-                )
-                next_total = int(
-                    np.maximum(next_ends - next_starts, 0).sum()
-                )
-            keep_block = next_total > 0
-        pool.broadcast(("store", nodes, offs, rows, n_next, keep_block))
+            parent, rows = parent[keep], rows[keep]
+            # Survivors of one node are one run of ``rows``.
+            offs = np.flatnonzero(np.diff(parent, prepend=-1))
+            nodes = parent[offs]
+            offs = np.append(offs, len(parent))
+            keys = np.concatenate([keys[parent], keys[rows, -1:]], axis=1)
+            group_end = group_ends(parent)
+            starts = candidate_starts(keys[:, -1], group_end, catalog)
+            # When the next level cannot produce candidates (length cap
+            # hit, or no cross-column siblings anywhere) the workers
+            # count channels without materializing the next block at
+            # all — the largest write on survivor-heavy runs.
+            keep_block = bool((group_end - starts).any()) and (
+                max_length is None or keys.shape[1] < max_length
+            )
+        pool.broadcast(("store", nodes, offs, rows, len(rows), keep_block))
         with span("fpm.shard.count"):
             channel_counts = sum(pool.gather())
         with span("fpm.shard.merge"):
-            vectors = full(sup_survivors, channel_counts)
-            for t, prefix in enumerate(new_prefixes):
-                out[frozenset(prefix)] = vectors[t]
+            vectors = full(supports[keep], channel_counts)
+            out.update(zip(map(frozenset, keys.tolist()), vectors))
         if not keep_block:
             break
-        prefixes = new_prefixes
-        item_of_row = next_item_of_row
-        group_end = next_group_end
-        depth += 1

@@ -53,6 +53,13 @@ def popcount_rows(packed: np.ndarray) -> np.ndarray:
 # Elements (words, or bytes on the lookup-table path) per AND block of
 # the channel-sum kernel: ~1 MiB, so wide dense runs stay in cache.
 _PLANE_TILE = 1 << 17
+# Words (bytes on the lookup-table path) of candidate coverage the
+# bitset miner ANDs per tile, and so between two of its cooperative
+# checkpoints: 32 KiB, cache-resident.
+_CANDIDATE_TILE = 1 << 12
+# Candidate coverage bytes per frontier block of the bitset miner: a
+# block's children are all that one level holds at a time.
+_FRONTIER_BYTES = 1 << 22
 # Rows per tile when slicing channel values into bit planes; a multiple
 # of 8, so every tile packs to whole bytes.
 _SLICE_ROWS = 1 << 16
@@ -123,32 +130,32 @@ def plane_sums(planes: np.ndarray, weights: np.ndarray):
     the planes' dtype and width, the ``(m, k)`` int64
     ``popcount(coverage & planes) @ weights``, i.e. each channel's sum
     of offsets mod 2**64 (:func:`add_offsets` restores the minima). A
-    block that fits one tile is one broadcast AND and one popcount, and
-    identity weights (binary channels) skip the matmul.
+    block that fits one tile is one broadcast AND and one popcount;
+    larger blocks AND one plane at a time into a reused tile buffer.
+    Identity weights (binary channels) skip the matmul.
     """
     n_planes, words = planes.shape
     identity = weights.shape == (n_planes, n_planes) and np.array_equal(
         weights, np.eye(n_planes, dtype=np.int64)
     )
     unsigned = weights.view(np.uint64)
-    # A survivor wider than a tile runs alone, over plane chunks.
-    tile = max(1, _PLANE_TILE // max(1, n_planes * words))
-    plane_tile = n_planes if tile > 1 else max(1, _PLANE_TILE // max(1, words))
+    # Survivors per tile; a survivor wider than a tile runs alone.
+    tile = max(1, _PLANE_TILE // max(1, words))
     block = planes[None]
 
     def sums(coverage: np.ndarray) -> np.ndarray:
         m = coverage.shape[0]
-        if m <= tile:
+        if m * n_planes <= tile:
             counts = popcount_rows(coverage[:, None, :] & block)
         else:
             counts = np.empty((m, n_planes), dtype=np.int64)
+            scratch = np.empty((min(m, tile), words), dtype=coverage.dtype)
             for start in range(0, m, tile):
-                survivors = coverage[start : start + tile, None, :]
-                for first in range(0, n_planes, plane_tile):
-                    chunk = block[:, first : first + plane_tile]
-                    counts[
-                        start : start + tile, first : first + plane_tile
-                    ] = popcount_rows(survivors & chunk)
+                survivors = coverage[start : start + tile]
+                buf = scratch[: len(survivors)]
+                for p in range(n_planes):
+                    np.bitwise_and(survivors, planes[p], out=buf)
+                    counts[start : start + tile, p] = popcount_rows(buf)
         if identity:
             return counts
         return (counts.view(np.uint64) @ unsigned).view(np.int64)

@@ -2,19 +2,23 @@
 
 The brute-force enumerator is the oracle: `BitsetMiner` must produce
 exactly equal itemsets, supports and channel counts on any input
-(Theorem 5.1 for the fourth backend), including the non-one-hot
-channel fallback. The shared explicit-stack DFS is additionally pinned
-as genuinely non-recursive.
+(Theorem 5.1 for the default backend), including non-one-hot channels,
+tiles and frontier blocks shrunk to a few candidates, and both popcount
+paths. The column filter is pinned against a per-node reference, and
+the level-wise walk as genuinely non-recursive.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fpm.bitset import BitsetMiner, _as_words
+import repro.fpm.transactions as transactions_module
+from repro.core.fixedpoint import encode_weight_channels
+from repro.fpm.bitset import BitsetMiner, _as_words, candidate_starts
 from repro.fpm.bruteforce import BruteForceMiner
 from repro.fpm.miner import mine_frequent
 from repro.fpm.transactions import (
@@ -23,9 +27,10 @@ from repro.fpm.transactions import (
     popcount,
     popcount_rows,
 )
-from repro.fpm.vertical import depth_first_mine
+from repro.rank.weights import rank_weights
 from tests.conftest import make_random_dataset
 from tests.test_fpm_miners import tiny_dataset
+from tests.test_fpm_planes import FIXTURE_OK, popcount_path  # noqa: F401
 
 
 class TestHandChecked:
@@ -194,27 +199,181 @@ class TestPackedSubstrate:
 
 class TestExplicitStack:
     def test_walker_survives_beyond_recursion_limit(self):
-        """A chain lattice deeper than the recursion limit must mine fine."""
-        depth = sys.getrecursionlimit() + 500
-        cov = np.zeros(1, dtype=np.uint8)
-        counts = np.array([1], dtype=np.int64)
-        out = {}
+        """A lattice deeper than the recursion limit must mine fine.
 
-        def expand(prefix_cov, last_col, sib_items, sib_covs):
-            item = sib_items[0]
-            survivors = [item]
-            if item + 1 < depth:
-                # one survivor that continues the chain, plus the spare
-                # sibling that keeps the next frame expandable
-                survivors.append(item + 1)
-            return survivors, [cov] * len(survivors), [counts] * len(survivors)
+        Every subset of a frequent itemset is frequent, so a real
+        lattice cannot outgrow the default limit; the mine runs in a
+        fresh thread under a limit just above the stack depth a shallow
+        mine needs, on a chain dataset deeper than that limit.
+        """
 
-        depth_first_mine(
-            out,
-            [0, 1],
-            [cov, cov],
-            expand,
-            column_of=lambda item: item,
-            max_length=None,
+        def chain(depth: int) -> TransactionDataset:
+            # Two all-zero rows and one all-one row: at s=0.5 every
+            # subset of the zero items is frequent, nothing else is.
+            matrix = np.zeros((3, depth), dtype=np.int64)
+            matrix[2] = 1
+            catalog = ItemCatalog(
+                [f"a{j}" for j in range(depth)], [[0, 1]] * depth
+            )
+            return TransactionDataset(matrix, catalog, np.eye(3, 2, dtype=int))
+
+        outcome = {}
+
+        def run():
+            deepest = 0
+
+            def profile(frame, event, arg):
+                nonlocal deepest
+                depth = 1 if event == "c_call" else 0
+                while frame is not None:
+                    depth, frame = depth + 1, frame.f_back
+                deepest = max(deepest, depth)
+
+            sys.setprofile(profile)
+            try:
+                mine_frequent(chain(3), 0.5, algorithm="bitset")
+            finally:
+                sys.setprofile(None)
+            limit = deepest + 2
+            depth = outcome["depth"] = limit + 1
+            if depth > 24:  # 2**depth itemsets: keep the test small
+                return
+            deep = chain(depth)
+            saved = sys.getrecursionlimit()
+            sys.setrecursionlimit(limit)
+            try:
+                outcome["result"] = mine_frequent(deep, 0.5, algorithm="bitset")
+            except RecursionError as exc:  # pragma: no cover - the failure
+                outcome["error"] = exc
+            finally:
+                sys.setrecursionlimit(saved)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        depth = outcome["depth"]
+        assert depth <= 24, "a shallow mine already needs a deep stack"
+        assert "error" not in outcome, outcome.get("error")
+        result = outcome["result"]
+        assert result.max_length() == depth
+        assert len(result) == 2**depth
+        assert result.counts(frozenset(range(0, 2 * depth, 2))).tolist() == [
+            2, 1, 1,
+        ]
+
+
+def reference_starts(last, group_end, catalog):
+    """Per node: the first later sibling outside its own column."""
+    starts = []
+    for j, item in enumerate(last.tolist()):
+        k = j + 1
+        while k < group_end[j] and catalog.column_of(int(last[k])) == (
+            catalog.column_of(item)
+        ):
+            k += 1
+        starts.append(k)
+    return starts
+
+
+@st.composite
+def frontiers(draw):
+    """A catalog plus a frontier: sibling groups of id-sorted items."""
+    cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    catalog = ItemCatalog([f"c{j}" for j in range(len(cards))], [
+        list(range(c)) for c in cards
+    ])
+    groups = draw(
+        st.lists(
+            st.sets(st.integers(0, catalog.n_items - 1), min_size=1),
+            min_size=1,
+            max_size=6,
         )
-        assert max(len(key) for key in out) >= depth - 2
+    )
+    last = np.array([i for g in groups for i in sorted(g)], dtype=np.uint32)
+    sizes = [len(g) for g in groups]
+    group_end = np.repeat(np.cumsum(sizes), sizes)
+    return catalog, last, group_end
+
+
+def frontier_dataset(rng, n_rows: int, channel_kind: str) -> TransactionDataset:
+    catalog = ItemCatalog(
+        ["a", "b", "c", "d"], [[0, 1, 2], [0, 1], [0, 1, 2, 3], [0, 1]]
+    )
+    # Skewed values keep some low-support patterns below the threshold.
+    matrix = np.column_stack(
+        [
+            np.minimum(rng.geometric(0.5, n_rows) - 1, m - 1)
+            for m in catalog.cardinalities
+        ]
+    )
+    if channel_kind == "binary":
+        labels = rng.integers(0, 3, n_rows)
+        channels = np.eye(3, dtype=np.int64)[labels][:, :2]  # ⊥ rows too
+    else:
+        scores = rng.normal(size=n_rows)
+        k = int(rng.integers(1, n_rows + 1))
+        channels = encode_weight_channels(rank_weights(scores, channel_kind, k=k))
+    return TransactionDataset(matrix, catalog, channels)
+
+
+class TestFrontierEngine:
+    """The level-wise engine against the oracle, with tiny tiles/blocks."""
+
+    @given(frontiers())
+    @settings(max_examples=80, deadline=None)
+    def test_candidate_starts_skip_own_column(self, frontier):
+        catalog, last, group_end = frontier
+        got = candidate_starts(last, group_end, catalog)
+        assert got.tolist() == reference_starts(last, group_end, catalog)
+
+    def test_candidate_starts_by_hand(self):
+        catalog = ItemCatalog(["x", "y", "z"], [[0, 1, 2], [0, 1], [0]])
+        # One group of items 0,1,2 (x), 3,4 (y), 5 (z); then {1, 4}.
+        last = np.array([0, 1, 2, 3, 4, 5, 1, 4], dtype=np.uint32)
+        group_end = np.array([6] * 6 + [8] * 2)
+        starts = candidate_starts(last, group_end, catalog)
+        assert starts.tolist() == [3, 3, 3, 5, 5, 6, 7, 8]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.sampled_from((9, 63, 65, 130, 200)),
+        channel_kind=st.sampled_from(("binary", "exposure", "topk")),
+        max_length=st.sampled_from((None, 0, 1, 2)),
+        support=st.sampled_from((0.01, 0.05, 0.2)),
+        tile_nodes=st.integers(1, 5),
+        block_nodes=st.integers(1, 12),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=FIXTURE_OK)
+    def test_matches_bruteforce_with_tiny_tiles_and_blocks(
+        self,
+        popcount_path,
+        monkeypatch,
+        seed,
+        n_rows,
+        channel_kind,
+        max_length,
+        support,
+        tile_nodes,
+        block_nodes,
+    ):
+        rng = np.random.default_rng(seed)
+        dataset = frontier_dataset(rng, n_rows, channel_kind)
+        words = _as_words(dataset.packed_item_bitmaps)[:1]
+        # Tiles of a few candidates mix broadcast (one node) and gather
+        # tiles; blocks of a few candidates split every frontier.
+        monkeypatch.setattr(
+            transactions_module, "_PLANE_TILE", tile_nodes * words.shape[1]
+        )
+        monkeypatch.setattr(
+            transactions_module, "_FRONTIER_BYTES", block_nodes * words.nbytes
+        )
+        want = mine_frequent(
+            dataset, support, algorithm="bruteforce", max_length=max_length
+        )
+        got = mine_frequent(
+            dataset, support, algorithm="bitset", max_length=max_length
+        )
+        assert set(got) == set(want)
+        for key in want:
+            assert got.counts(key).tolist() == want.counts(key).tolist()

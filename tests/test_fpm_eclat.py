@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fpm import EclatMiner
 from repro.fpm.bruteforce import BruteForceMiner
-from repro.fpm.eclat import EclatMiner
 from repro.fpm.miner import mine_frequent
 from tests.conftest import make_random_dataset
 from tests.test_fpm_miners import tiny_dataset

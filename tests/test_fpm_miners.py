@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import MiningError
+from repro.fpm import EclatMiner
 from repro.fpm.apriori import AprioriMiner
 from repro.fpm.bitset import BitsetMiner
 from repro.fpm.bruteforce import BruteForceMiner
-from repro.fpm.eclat import EclatMiner
 from repro.fpm.fpgrowth import FPGrowthMiner
 from repro.fpm.miner import FrequentItemsets, Miner, mine_frequent
 from repro.fpm.transactions import ItemCatalog, TransactionDataset

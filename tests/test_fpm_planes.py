@@ -112,6 +112,17 @@ class TestKernelMatchesRowSums:
         want = np.stack([channels[m].sum(axis=0) for m in masks])
         assert np.array_equal(got, want)
 
+    def test_no_planes_many_survivors(self, popcount_path, monkeypatch):
+        # Constant channels have no planes; the tiled path must still
+        # return the (zero) offset sums for every survivor.
+        monkeypatch.setattr(transactions_module, "_PLANE_TILE", 3)
+        rng = np.random.default_rng(5)
+        channels = make_column(rng, "constant", 70)[:, None]
+        masks = rng.random((20, 70)) < 0.5
+        got = kernel_sums(channels, masks)
+        want = np.stack([channels[m].sum(axis=0) for m in masks])
+        assert np.array_equal(got, want)
+
     def test_plane_counts(self):
         rng = np.random.default_rng(2)
         constant = np.full(100, -7, dtype=np.int64)

@@ -9,9 +9,9 @@ run; the benchmark suite runs them with ``-m ""``.
 import numpy as np
 import pytest
 
+from repro.fpm import EclatMiner
 from repro.fpm.apriori import AprioriMiner
 from repro.fpm.bitset import BitsetMiner
-from repro.fpm.eclat import EclatMiner
 from repro.fpm.fpgrowth import FPGrowthMiner
 from repro.fpm.transactions import ItemCatalog, TransactionDataset
 
