@@ -151,6 +151,8 @@ def sample_dataset(
     byte copies; unbuilt bitmaps are left for the (small) sample to
     pack lazily, so taking a sample never forces a full-dataset pack.
     """
+    if dataset.multiplicity is not None:
+        raise ReproError("samples are drawn from original rows, not distinct ones")
     if design.n_rows != dataset.n_rows:
         raise ReproError(
             f"sample design covers {design.n_rows} rows, dataset has "

@@ -57,7 +57,6 @@ from repro.core.significance import (
 )
 from repro.exceptions import ReproError
 from repro.fpm.miner import FrequentItemsets
-from repro.fpm.transactions import TransactionDataset
 from repro.obs import get_registry, span
 from repro.resilience import CancelToken, Deadline, cancel_scope, checkpoint
 from repro.tabular.table import Table
@@ -805,9 +804,7 @@ def explore_compare(
         with span("compare.explore") as compare_span:
             outcomes = [fn(truth, predictions[name]) for name in names]
             channels, layout = _stack_channels(outcomes)
-            dataset = TransactionDataset(
-                explorer._matrix, explorer.catalog, channels
-            )
+            dataset = explorer.item_layer.dataset(channels)
             frequent = explorer.mining_cache.mine(
                 dataset,
                 min_support,

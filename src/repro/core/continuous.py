@@ -34,7 +34,7 @@ from repro.core.items import Itemset
 from repro.exceptions import ReproError, SchemaError
 from repro.fpm.cache import MiningCache
 from repro.fpm.miner import FrequentItemsets, mine_frequent
-from repro.fpm.transactions import ItemCatalog, TransactionDataset
+from repro.fpm.transactions import ItemCatalog, ItemLayer, TransactionDataset
 from repro.resilience import CancelToken, Deadline, cancel_scope, checkpoint
 from repro.tabular.table import Table
 
@@ -167,9 +167,8 @@ class ContinuousDivergenceExplorer:
         """The transaction dataset with fixed-point score channels."""
         if self._dataset is None:
             channels = encode_weight_channels(self.scores)
-            self._dataset = TransactionDataset(
-                self._matrix, self.catalog, channels
-            )
+            layer = ItemLayer(self._matrix, self.catalog, group=True)
+            self._dataset = layer.dataset(channels)
         return self._dataset
 
 

@@ -9,6 +9,11 @@ of *all* frequent itemsets. The exploration is sound and complete up to
 the support threshold (Thm. 5.1), which is what enables global
 divergence and corrective-item analysis downstream.
 
+The explorer groups its rows once (:class:`~repro.fpm.transactions.
+ItemLayer`): when the encoded attribute rows repeat enough, every metric
+mines the distinct rows, with the row multiplicity as one more
+bit-sliced channel, and gets the same table as over every row.
+
 Mining runs are memoized per explorer through a
 :class:`~repro.fpm.cache.MiningCache`, so repeated explorations of the
 same configuration (Shapley sweeps, pruning sweeps, the app server) pay
@@ -27,7 +32,7 @@ from repro.core.result import PatternDivergenceResult
 from repro.exceptions import ReproError, SchemaError
 from repro.fpm.cache import MiningCache
 from repro.fpm.miner import mine_frequent
-from repro.fpm.transactions import ItemCatalog, TransactionDataset
+from repro.fpm.transactions import ItemCatalog, ItemLayer, TransactionDataset
 from repro.resilience import CancelToken, Deadline, cancel_scope, checkpoint
 from repro.tabular.table import Table
 
@@ -75,9 +80,11 @@ class DivergenceExplorer:
         self.pred_column = pred_column
         self.n_workers = n_workers
         self.mining_cache = mining_cache if mining_cache is not None else MiningCache()
-        # TransactionDataset per metric, so the packed bitmaps and the
-        # fingerprint survive across explore() calls.
-        self._datasets: dict[str, TransactionDataset] = {}
+        # One item layer for every metric (built at the first explore),
+        # and per metric its outcome array with the dataset built from
+        # it, so channel sums and fingerprints survive across calls.
+        self._layer: ItemLayer | None = None
+        self._datasets: dict[str, tuple[np.ndarray, TransactionDataset]] = {}
         # Progressive-sampling state: one block permutation per seed and
         # one sampled dataset per (metric, rows, seed), so repeated
         # sampled requests (server auto mode, refinement rounds) reuse
@@ -188,9 +195,9 @@ class DivergenceExplorer:
             dataset = self._dataset_for(metric)
             if sample is not None:
                 sampled = self._sampled_dataset(
-                    metric, dataset, sample, sample_seed
+                    metric, dataset.n_rows, sample, sample_seed
                 )
-                if sampled is not dataset:
+                if sampled is not None:
                     return self._explore_sampled(
                         sampled,
                         dataset.n_rows,
@@ -227,14 +234,15 @@ class DivergenceExplorer:
     def _sampled_dataset(
         self,
         metric: str,
-        dataset: TransactionDataset,
+        n_rows: int,
         sample: float | int | str,
         seed: int | None,
-    ) -> TransactionDataset:
+    ) -> TransactionDataset | None:
         """The sampled dataset for a ``sample=`` spec (cached per round).
 
-        Returns ``dataset`` itself when the resolved sample covers every
-        row. Designs and gathered datasets are cached so refinement
+        Returns ``None`` when the resolved sample covers every row. The
+        sample is drawn from the original rows, never from distinct
+        ones. Designs and gathered datasets are cached so refinement
         rounds and repeated server requests pay the gather once.
         """
         from repro.approx.sampler import (
@@ -243,20 +251,24 @@ class DivergenceExplorer:
             sample_dataset,
         )
 
-        rows = resolve_sample_rows(sample, dataset.n_rows)
-        design_key = (dataset.n_rows, seed)
+        rows = resolve_sample_rows(sample, n_rows)
+        design_key = (n_rows, seed)
         design = self._sample_designs.get(design_key)
         if design is None:
-            design = SampleDesign(dataset.n_rows, seed)
+            design = SampleDesign(n_rows, seed)
             self._sample_designs[design_key] = design
         actual = design.rows_for(rows)
-        if actual >= dataset.n_rows:
-            return dataset
+        if actual >= n_rows:
+            return None
         cache_key = (metric, actual, seed)
         sampled = self._sampled_datasets.get(cache_key)
         if sampled is None:
             from repro.obs import span
 
+            dataset = self._datasets[metric][1]
+            if dataset.multiplicity is not None:
+                channels = outcome_channels(self._datasets[metric][0])
+                dataset = TransactionDataset(self._matrix, self.catalog, channels)
             with span("approx.sample"):
                 sampled = sample_dataset(dataset, design, rows)
             self._sampled_datasets[cache_key] = sampled
@@ -307,20 +319,27 @@ class DivergenceExplorer:
             sample_seed=sample_seed,
         )
 
+    @property
+    def item_layer(self) -> ItemLayer:
+        """The rows every metric mines: distinct rows when they compress."""
+        if self._layer is None:
+            self._layer = ItemLayer(self._matrix, self.catalog, group=True)
+        return self._layer
+
     def _dataset_for(self, metric: str) -> TransactionDataset:
         """The transaction dataset for ``metric``, reused across calls.
 
-        Reuse keeps the packed bitmaps and the cache fingerprint warm.
-        The cached instance is revalidated against freshly computed
-        channels, so re-registering a custom metric under the same name
-        cannot serve stale outcomes.
+        Reuse keeps the channel sums and the cache fingerprint warm.
+        The cached instance is revalidated against a freshly computed
+        outcome array, so re-registering a custom metric under the same
+        name cannot serve stale outcomes.
         """
-        channels = outcome_channels(self.outcome_array(metric))
-        dataset = self._datasets.get(metric)
-        if dataset is None or not np.array_equal(dataset.channels, channels):
-            dataset = TransactionDataset(self._matrix, self.catalog, channels)
-            self._datasets[metric] = dataset
-        return dataset
+        outcome = self.outcome_array(metric)
+        cached = self._datasets.get(metric)
+        if cached is None or not np.array_equal(cached[0], outcome):
+            dataset = self.item_layer.dataset(outcome_channels(outcome))
+            cached = self._datasets[metric] = (outcome, dataset)
+        return cached[1]
 
     def outcome_array(self, metric: str) -> np.ndarray:
         """Evaluate the named outcome function on every instance."""

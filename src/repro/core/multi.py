@@ -10,7 +10,8 @@ metric from the shared frequent-itemset table.
 
 This is both a convenience (one call for a full audit) and a real
 saving: mining dominates the cost (Fig. 6), and it is paid once instead
-of once per metric.
+of once per metric. The stacked channels are summed over the explorer's
+item layer, so repeated rows are mined once here too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.core.outcomes import outcome_channels
 from repro.core.result import PatternDivergenceResult
 from repro.exceptions import ReproError
 from repro.fpm.miner import FrequentItemsets, mine_frequent
-from repro.fpm.transactions import TransactionDataset
 
 
 def explore_multi(
@@ -63,7 +63,7 @@ def explore_multi(
         outcome_channels(explorer.outcome_array(metric)) for metric in metrics
     ]
     stacked = np.hstack(channel_blocks)
-    dataset = TransactionDataset(explorer._matrix, explorer.catalog, stacked)
+    dataset = explorer.item_layer.dataset(stacked)
     frequent = mine_frequent(
         dataset, min_support, algorithm=algorithm, max_length=max_length
     )

@@ -1,9 +1,9 @@
 """Bitset miner: a level-wise frontier engine over packed bitmaps.
 
-The default backend (``"eclat"`` is an alias of it). Coverage is a
-``np.packbits``-packed row bitmap, viewed as uint64 words when numpy
-has ``bitwise_count``. The item prefix tree is walked one *frontier* at
-a time: the nodes of one level, held as
+The default backend (``"eclat"`` and ``"apriori"`` are aliases of it).
+Coverage is a ``np.packbits``-packed row bitmap, viewed as uint64 words
+when numpy has ``bitwise_count``. The item prefix tree is walked one
+*frontier* at a time: the nodes of one level, held as
 
 - ``keys``, the ``(m, depth)`` uint32 item ids of every node's itemset
   (its last column is the node's last item);
@@ -16,9 +16,12 @@ first: :func:`candidate_starts` skips past the column's last item id
 with one ``searchsorted`` for the whole frontier, and ``end`` is the
 sibling group's end. Expanding a frontier is a fixed number of numpy
 calls per candidate tile, however many nodes share it: the AND of every
-(node, candidate) pair, a popcount and the ``>= min_count`` filter.
-Once per block follow the channel sums of the survivors only, through
-the bit-sliced kernel (:func:`~repro.fpm.transactions.plane_sums`,
+(node, candidate) pair, the support and the ``>= min_count`` filter.
+The support is a popcount or, on a dataset whose rows carry
+multiplicities, the multiplicity sum of the covered rows
+(:func:`support_kernel`). Once per block follow the channel sums of the
+survivors only, through the bit-sliced kernel
+(:func:`~repro.fpm.transactions.plane_sums`,
 ``Σ_c = (popcount(cov & planes) @ weights)[c] + support · vmin[c]``,
 exact int64 arithmetic), and the next key matrix from ``keys[parent]``
 plus the new item.
@@ -70,6 +73,33 @@ def _as_words(packed: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
+def weighted_supports(planes: np.ndarray, weights: np.ndarray, vmin: np.ndarray):
+    """``coverage -> multiplicity sums`` over the multiplicity ``planes``.
+
+    ``(planes, weights, vmin)`` are :func:`~repro.fpm.transactions.
+    bit_planes` of the multiplicity column, as words like the coverage.
+    """
+    sums = plane_sums(planes, weights)
+    base = np.int64(vmin[0])
+
+    def supports(coverage: np.ndarray) -> np.ndarray:
+        return sums(coverage)[:, 0] + popcount_rows(coverage) * base
+
+    return supports
+
+
+def support_kernel(dataset: TransactionDataset):
+    """``coverage -> supports`` of ``dataset``'s stored rows.
+
+    A popcount, or the multiplicity sum of the covered rows when the
+    rows carry multiplicities.
+    """
+    if dataset.multiplicity is None:
+        return popcount_rows
+    planes, weights, vmin = dataset.layer.multiplicity_planes
+    return weighted_supports(_as_words(planes), weights, vmin)
+
+
 def candidate_starts(
     last: np.ndarray, group_end: np.ndarray, catalog: ItemCatalog
 ) -> np.ndarray:
@@ -110,6 +140,8 @@ class BitsetMiner(Miner):
     """Level-wise vertical miner over packed-bitmap intersections."""
 
     name = "bitset"
+    # Cooperative checkpoint phase of the expansion loop.
+    phase = "fpm.dfs"
 
     def mine(
         self,
@@ -124,6 +156,7 @@ class BitsetMiner(Miner):
         planes, weights, vmin = dataset.channel_planes
         sums_of = plane_sums(_as_words(planes), weights)
         offset = bool(vmin.any())
+        support_of = support_kernel(dataset)
 
         def record(keys: np.ndarray, coverage: np.ndarray, supports):
             # [support, channel sums...] per node, keyed by item set.
@@ -133,7 +166,9 @@ class BitsetMiner(Miner):
             counts = np.concatenate([supports[:, None], sums], axis=1)
             out.update(zip(map(frozenset, keys.tolist()), counts))
 
-        all_rows = _as_words(np.packbits(np.ones((1, n), dtype=bool), axis=1))
+        all_rows = _as_words(
+            np.packbits(np.ones((1, dataset.n_physical), dtype=bool), axis=1)
+        )
         out: dict[ItemsetKey, np.ndarray] = {}
         record(
             np.empty((1, 0), dtype=np.uint32),
@@ -143,7 +178,7 @@ class BitsetMiner(Miner):
         if max_length == 0:
             return FrequentItemsets(out, n, min_support)
 
-        supports = popcount_rows(item_bitmaps)
+        supports = support_of(item_bitmaps)
         frequent = supports >= min_count
         keys = np.flatnonzero(frequent).astype(np.uint32)[:, None]
         cov = item_bitmaps[frequent]
@@ -174,6 +209,9 @@ class BitsetMiner(Miner):
 
         push(keys, cov, np.full(len(keys), len(keys)))
         while stack:
+            # One checkpoint per block too: its survivors' channel sums
+            # run after the last tile's.
+            checkpoint(self.phase)
             keys, cov, starts, ends, lo, hi = stack.pop()
             parent, cand = candidate_pairs(starts[lo:hi], ends[lo:hi])
             parent += lo
@@ -185,7 +223,7 @@ class BitsetMiner(Miner):
             bounds = np.cumsum(ends[lo:hi] - starts[lo:hi])
             filled = first = 0
             while first < len(parent):
-                checkpoint("fpm.dfs")
+                checkpoint(self.phase)
                 # Whole nodes up to ``tile`` candidates; a node with more
                 # runs alone.
                 fit = int(np.searchsorted(bounds, first + tile, side="right"))
@@ -204,7 +242,7 @@ class BitsetMiner(Miner):
                 else:
                     np.take(cov, parent[first:stop], axis=0, out=dst, mode="clip")
                     dst &= cov[cand[first:stop]]
-                sup = popcount_rows(dst)
+                sup = support_of(dst)
                 keep = sup >= min_count
                 kept[first:stop] = keep
                 survivors = int(np.count_nonzero(keep))
@@ -228,3 +266,15 @@ class EclatMiner(BitsetMiner):
     """``"eclat"``: the same engine, counted under its own name."""
 
     name = "eclat"
+
+
+class AprioriMiner(BitsetMiner):
+    """``"apriori"``: the same engine, counted under its own name.
+
+    The engine already is Apriori's level-wise join: each level's
+    candidates are the cross-column sibling pairs of the last frontier,
+    counted by one AND and one support pass.
+    """
+
+    name = "apriori"
+    phase = "fpm.apriori.level"

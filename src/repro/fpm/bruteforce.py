@@ -33,9 +33,7 @@ class BruteForceMiner(Miner):
         catalog = dataset.catalog
         n_attrs = len(catalog.attributes)
         limit = n_attrs if max_length is None else min(max_length, n_attrs)
-        counts: dict[ItemsetKey, np.ndarray] = {
-            frozenset(): dataset.counts_for_mask(np.ones(dataset.n_rows, dtype=bool))
-        }
+        counts: dict[ItemsetKey, np.ndarray] = {frozenset(): dataset.totals()}
         masks = [dataset.item_mask(i) for i in range(catalog.n_items)]
         for size in range(1, limit + 1):
             for attrs in combinations(range(n_attrs), size):
@@ -48,6 +46,6 @@ class BruteForceMiner(Miner):
                     mask = masks[ids[0]].copy()
                     for item_id in ids[1:]:
                         mask &= masks[item_id]
-                    if int(mask.sum()) >= min_count:
+                    if dataset.support_of_mask(mask) >= min_count:
                         counts[frozenset(ids)] = dataset.counts_for_mask(mask)
         return FrequentItemsets(counts, dataset.n_rows, min_support)

@@ -6,7 +6,8 @@ accumulates the sums of the outcome channels (the one-hot encoded T/F/⊥
 indicators of the paper's Algorithm 1). Conditional trees propagate the
 full vectors, so every emitted frequent itemset carries exact outcome
 tallies at zero extra dataset passes — precisely the augmentation the
-paper describes.
+paper describes. Rows with a multiplicity add it, not 1, to the
+transaction count, as the tree's own nodes do for shared prefixes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fpm.miner import FrequentItemsets, ItemsetKey, Miner
-from repro.fpm.transactions import TransactionDataset
+from repro.fpm.transactions import TransactionDataset, exact_bincount
 from repro.resilience import checkpoint
 
 
@@ -91,19 +92,21 @@ class FPGrowthMiner(Miner):
         min_count = self._validate(dataset, min_support, max_length)
         n = dataset.n_rows
         width = 1 + dataset.n_channels
-        out: dict[ItemsetKey, np.ndarray] = {
-            frozenset(): dataset.counts_for_mask(np.ones(n, dtype=bool))
-        }
+        out: dict[ItemsetKey, np.ndarray] = {frozenset(): dataset.totals()}
         if max_length == 0:
             return FrequentItemsets(out, n, min_support)
 
         # Pass 1: frequent single items, ordered by decreasing support.
         item_matrix = dataset.item_matrix
         flat = item_matrix.ravel()
-        item_counts = np.bincount(flat, minlength=dataset.catalog.n_items)
-        frequent_items = [
-            i for i in range(dataset.catalog.n_items) if item_counts[i] >= min_count
-        ]
+        n_items = dataset.catalog.n_items
+        multiplicity = dataset.multiplicity
+        if multiplicity is None:
+            item_counts = np.bincount(flat, minlength=n_items)
+        else:
+            weights = np.repeat(multiplicity, item_matrix.shape[1])
+            item_counts = exact_bincount(flat, weights, n_items)
+        frequent_items = [i for i in range(n_items) if item_counts[i] >= min_count]
         order = {
             item: rank
             for rank, item in enumerate(
@@ -117,14 +120,15 @@ class FPGrowthMiner(Miner):
         tree = _FPTree(width)
         channels = dataset.channels
         grouped: dict[tuple[int, ...], list[int]] = {}
-        for r in range(n):
+        for r in range(dataset.n_physical):
             if r % 4096 == 0:
                 checkpoint("fpm.fpgrowth.build")
             row = [it for it in item_matrix[r] if it in order]
             row.sort(key=order.__getitem__)
             key = tuple(row)
             vec = grouped.get(key)
-            row_vec = [1] + [int(c) for c in channels[r]] if width > 1 else [1]
+            weight = 1 if multiplicity is None else int(multiplicity[r])
+            row_vec = [weight] + [int(c) for c in channels[r]]
             if vec is None:
                 grouped[key] = row_vec
             else:

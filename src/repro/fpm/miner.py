@@ -165,11 +165,11 @@ def mine_frequent(
     """Mine frequent itemsets with the chosen backend.
 
     ``algorithm`` is one of ``"bitset"`` (the default: the level-wise
-    packed-bitmap engine, fastest), ``"eclat"`` (the same engine, timed
-    and counted under its own name), ``"fpgrowth"``, ``"apriori"`` or
-    ``"bruteforce"`` (the latter only suitable for small data; it
-    exists as a correctness oracle). All backends produce identical
-    results.
+    packed-bitmap engine, fastest), ``"eclat"`` and ``"apriori"`` (the
+    same engine, timed and counted under their own names),
+    ``"fpgrowth"`` or ``"bruteforce"`` (the latter only suitable for
+    small data; it exists as a correctness oracle). All backends produce
+    identical results, also on datasets whose rows carry multiplicities.
 
     ``n_workers`` routes the run through the row-sharded parallel
     engine (:mod:`repro.fpm.sharded`): ``None`` or ``1`` is serial,
@@ -179,8 +179,7 @@ def mine_frequent(
     ``algorithm`` only matters for the serial path; sharded runs are
     still validated against it by the test suite.
     """
-    from repro.fpm.apriori import AprioriMiner
-    from repro.fpm.bitset import BitsetMiner, EclatMiner
+    from repro.fpm.bitset import AprioriMiner, BitsetMiner, EclatMiner
     from repro.fpm.bruteforce import BruteForceMiner
     from repro.fpm.fpgrowth import FPGrowthMiner
 

@@ -43,6 +43,12 @@ When the one-hot outcome channels form a complete partition of the rows
 ``support - sum(others)`` — exact in integers — halving channel
 traffic for the common (T, F) case.
 
+Rows with multiplicities (a dataset of distinct rows) shard like any
+rows. The multiplicity column rides as bit planes after the channel
+planes; workers count every support as the multiplicity sum of the
+covered rows through the serial engine's
+:func:`~repro.fpm.bitset.weighted_supports`.
+
 Non-binary (dense) channels — the fixed-point (Σw, Σw²) statistics of
 the continuous and ranking extensions — ride as their bit planes
 (:attr:`~repro.fpm.transactions.TransactionDataset.channel_planes`)
@@ -69,6 +75,7 @@ from repro.fpm.bitset import (
     candidate_pairs,
     candidate_starts,
     group_ends,
+    weighted_supports,
 )
 from repro.fpm.miner import FrequentItemsets, ItemsetKey, Miner
 from repro.fpm.transactions import (
@@ -91,9 +98,9 @@ __all__ = [
     "shutdown_pools",
 ]
 
-# Below this row count the auto heuristic (n_workers=0) stays serial:
-# export + level synchronization overhead beats any kernel gain on
-# small data.
+# Below this many stored rows the auto heuristic (n_workers=0) stays
+# serial: export + level synchronization overhead beats any kernel gain
+# on small data.
 AUTO_ROW_THRESHOLD = 200_000
 # Auto mode caps the pool: shard counts beyond this see no further
 # kernel-efficiency gain and only add merge traffic.
@@ -139,7 +146,7 @@ def _worker_main(conn) -> None:
                 conn.close()
                 return
             if kind == "load":
-                _, name, n_items, k, words, weights = msg
+                _, name, n_items, k, words, weights, mult = msg
                 # Attaching re-registers the name with the resource
                 # tracker; workers are forked after ensure_running(),
                 # so this is a duplicate add to the master's tracker
@@ -148,15 +155,19 @@ def _worker_main(conn) -> None:
                 # Channel planes follow the item bitmaps: k binary
                 # channel bitmaps, or the dense channels' bit planes.
                 n_planes = k if weights is None else weights.shape[0]
+                # Then the multiplicity planes, if the rows carry them.
+                n_mult = 0 if mult is None else mult[0].shape[0]
+                n_rows = n_items + n_planes + n_mult
                 # Explicit shape: an empty shard (words == 0) must
                 # still yield (n_items, 0) views, not a (0, 0) array.
                 arr = np.frombuffer(
-                    shm.buf, dtype=np.uint64, count=(n_items + n_planes) * words
-                ).reshape(n_items + n_planes, words)
+                    shm.buf, dtype=np.uint64, count=n_rows * words
+                ).reshape(n_rows, words)
+                planes_end = n_items + n_planes
                 state.update(
                     shm=shm,
                     item_w=arr[:n_items],
-                    chan_w=arr[n_items:],
+                    chan_w=arr[n_items:planes_end],
                     words=words,
                     k=k,
                     n_items=n_items,
@@ -165,7 +176,10 @@ def _worker_main(conn) -> None:
                     # the kernel over them.
                     sums=None
                     if weights is None
-                    else plane_sums(arr[n_items:].copy(), weights),
+                    else plane_sums(arr[n_items:planes_end].copy(), weights),
+                    support=None
+                    if mult is None
+                    else weighted_supports(arr[planes_end:].copy(), *mult),
                 )
                 chan_w = state["chan_w"]
                 if k and words and weights is None:
@@ -194,6 +208,8 @@ def _worker_main(conn) -> None:
                         item_w[:, None, :], chan_w[None, :kk, :], out=B[:, 1:, :]
                     )
                 counts = np.bitwise_count(B).sum(axis=-1, dtype=np.int64)
+                if state["support"] is not None:
+                    counts[:, 0] = state["support"](B[:, 0])
                 if state["sums"] is not None:
                     # Dense: every root's offset sums, merged by int64
                     # addition at the master like the counts.
@@ -216,40 +232,27 @@ def _worker_main(conn) -> None:
                 _, starts, ends, total = msg
                 B = state["B"]
                 w = state["words"]
-                max_m = int((ends - starts).max()) if len(starts) else 0
+                support = state["support"]
+                # Candidates per AND tile: the broadcast AND of a huge
+                # sibling run never spills the cache.
+                tile = max(1, _WORD_TILE // max(w, 1))
                 buf = state.get("buf")
-                if buf is None or buf.shape[0] < max_m or buf.shape[1] != w:
-                    buf = np.empty((max(max_m, 1), w), dtype=np.uint64)
+                if buf is None or buf.shape != (tile, w):
+                    buf = np.empty((tile, w), dtype=np.uint64)
                     state["buf"] = buf
                 sups = np.empty(total, dtype=np.int64)
                 pos = 0
                 for j in range(len(starts)):
-                    a, e = starts[j], ends[j]
-                    m = e - a
-                    if m <= 0:
-                        continue
-                    if m * w <= _WORD_TILE:
-                        b = buf[:m]
+                    for a in range(starts[j], ends[j], tile):
+                        e = min(a + tile, ends[j])
+                        b = buf[: e - a]
                         np.bitwise_and(B[j, 0][None, :], B[a:e, 0], out=b)
-                        np.bitwise_count(b, out=b)
-                        sups[pos : pos + m] = b.sum(axis=1, dtype=np.int64)
-                    else:
-                        # Tile over word columns so the broadcast AND of
-                        # a huge sibling run never spills the cache.
-                        acc = np.zeros(m, dtype=np.int64)
-                        wb = max(1, _WORD_TILE // m)
-                        for w0 in range(0, w, wb):
-                            w1 = min(w0 + wb, w)
-                            b = buf[:m, : w1 - w0]
-                            np.bitwise_and(
-                                B[j, 0, w0:w1][None, :],
-                                B[a:e, 0, w0:w1],
-                                out=b,
-                            )
+                        if support is None:
                             np.bitwise_count(b, out=b)
-                            acc += b.sum(axis=1, dtype=np.int64)
-                        sups[pos : pos + m] = acc
-                    pos += m
+                            sups[pos : pos + e - a] = b.sum(axis=1, dtype=np.int64)
+                        else:
+                            sups[pos : pos + e - a] = support(b)
+                        pos += e - a
                 conn.send(sups)
             elif kind == "store":
                 _, nodes, offs, rows, n_next, keep_block = msg
@@ -486,9 +489,11 @@ def resolve_workers(
     """Effective shard count for a request: 1 means the serial path.
 
     ``None`` and ``1`` are serial; ``0`` is auto — serial below
-    :data:`AUTO_ROW_THRESHOLD` rows, else ``min(cpu_count,
-    MAX_AUTO_WORKERS)``; any explicit count >= 2 shards unconditionally
-    (tests use this to exercise degenerate 1-row and empty shards).
+    :data:`AUTO_ROW_THRESHOLD` stored rows (a dataset of distinct rows
+    counts its distinct rows, not the transactions they stand for),
+    else ``min(cpu_count, MAX_AUTO_WORKERS)``; any explicit count >= 2
+    shards unconditionally (tests use this to exercise degenerate 1-row
+    and empty shards).
     Ineligible datasets always resolve to serial.
     """
     if n_workers is None:
@@ -502,7 +507,7 @@ def resolve_workers(
     if workers < 0:
         raise MiningError(f"n_workers must be >= 0 (0 = auto), got {workers}")
     if workers == 0:
-        if dataset.n_rows < AUTO_ROW_THRESHOLD:
+        if dataset.n_physical < AUTO_ROW_THRESHOLD:
             return 1
         workers = min(os.cpu_count() or 1, MAX_AUTO_WORKERS)
     if workers < 2 or not shardable(dataset):
@@ -536,9 +541,7 @@ def mine_sharded(
         raise MiningError("dataset is not shardable (see fpm.sharded.shardable)")
     min_count = Miner._validate(dataset, min_support, max_length)
     n = dataset.n_rows
-    out: dict[ItemsetKey, np.ndarray] = {
-        frozenset(): dataset.counts_for_mask(np.ones(n, dtype=bool))
-    }
+    out: dict[ItemsetKey, np.ndarray] = {frozenset(): dataset.totals()}
     if max_length == 0:
         return FrequentItemsets(out, n, min_support)
 
@@ -568,16 +571,21 @@ def _export_shards(pool: _ShardPool, dataset: TransactionDataset) -> list:
     Each segment holds the shard's item bitmaps followed by its channel
     planes (:attr:`~repro.fpm.transactions.TransactionDataset.
     channel_planes`): the binary channel bitmaps, or the dense channels'
-    bit planes, whose weights ride in the load message.
+    bit planes, whose weights ride in the load message; then, for rows
+    with multiplicities, the multiplicity planes, likewise.
     """
-    n = dataset.n_rows
     k = dataset.n_channels
     n_items = dataset.catalog.n_items
-    bounds = plan_shards(n, pool.n)
+    bounds = plan_shards(dataset.n_physical, pool.n)
     planes, weights, _ = dataset.channel_planes
-    blocks = (dataset.packed_item_bitmaps, planes)
-    n_bitmaps = n_items + planes.shape[0]
+    blocks = [dataset.packed_item_bitmaps, planes]
     dense_weights = None if dataset.channels_binary else weights
+    mult = None
+    if dataset.multiplicity is not None:
+        mult_planes, mult_weights, mult_vmin = dataset.layer.multiplicity_planes
+        blocks.append(mult_planes)
+        mult = (mult_weights, mult_vmin)
+    n_bitmaps = sum(block.shape[0] for block in blocks)
     segments = []
     for index in range(pool.n):
         start, stop = bounds[index], bounds[index + 1]
@@ -595,7 +603,8 @@ def _export_shards(pool: _ShardPool, dataset: TransactionDataset) -> list:
             del view  # release the exported buffer before any close()
         segments.append(segment)
         pool.send(
-            index, ("load", segment.name, n_items, k, words, dense_weights)
+            index,
+            ("load", segment.name, n_items, k, words, dense_weights, mult),
         )
     return segments
 
@@ -625,6 +634,8 @@ def _mine_into(
             # (0, 0), so they can never register as complete.
             or_total = sum(s[0] for s in stats)
             sum_total = sum(s[1] for s in stats)
+            # The totals count stored rows: on distinct rows they reach
+            # n (transactions) only when every multiplicity is 1.
             complete = not dense and k >= 1 and or_total == n and sum_total == n
             # Dense runs carry coverage only; workers sum the channels
             # through their private planes.

@@ -3,8 +3,9 @@
 The miners operate on globally numbered *item ids*. Each (attribute,
 value) pair of the dictionary-encoded table receives one id:
 ``item_id = offset[column] + code``. :class:`ItemCatalog` holds the
-bidirectional mapping, and :class:`TransactionDataset` bundles the
-encoded matrix with per-item coverage bitsets and the outcome channel
+bidirectional mapping. :class:`ItemLayer` holds the encoded rows (or
+their distinct rows, each with its multiplicity) with per-item coverage
+bitsets, and :class:`TransactionDataset` adds the outcome channel
 matrix used by Algorithm 1.
 """
 
@@ -63,10 +64,16 @@ _FRONTIER_BYTES = 1 << 22
 # Rows per tile when slicing channel values into bit planes; a multiple
 # of 8, so every tile packs to whole bytes.
 _SLICE_ROWS = 1 << 16
+#: An explorer mines its distinct rows only when there are at most
+#: ``1 / GROUP_RATIO`` as many as rows; otherwise the rows as they are.
+GROUP_RATIO = 8
+# Row-code spaces up to ``2 * n_rows`` plus this many codes group by one
+# bincount; larger ones by a sort.
+_BINCOUNT_CODES = 1 << 16
 
 
 def bit_planes(
-    channels: np.ndarray,
+    channels: np.ndarray, multiplicity: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bit-sliced ``(planes, weights, vmin)`` form of int64 channels.
 
@@ -77,6 +84,13 @@ def bit_planes(
     + popcount(mask) * vmin`` is ``channels[mask].sum(axis=0)`` bit for
     bit (int64 arithmetic mod 2**64). Built row tile by row tile, one
     plane at a time: no ``(n_rows, 64)`` bit matrix is ever allocated.
+
+    When each row stands for ``multiplicity`` source rows and holds
+    their channel sums, the offsets are ``channels - multiplicity *
+    vmin`` with ``vmin`` the least floored row mean, and the identity
+    holds with ``multiplicity[mask].sum()`` in place of
+    ``popcount(mask)``. Any ``vmin`` is exact mod 2**64; this one keeps
+    the offsets as narrow as the source rows' own.
     """
     n_rows, k = channels.shape
     if n_rows == 0:
@@ -84,18 +98,34 @@ def bit_planes(
         return np.zeros((0, 0), np.uint8), np.zeros((0, k), np.int64), vmin
     # Column by column: an axis-0 reduction over the row-major matrix
     # is an order of magnitude slower.
-    vmin = np.array([column.min() for column in channels.T], dtype=np.int64)
-    vmax = np.array([column.max() for column in channels.T], dtype=np.int64)
-    # uint64 subtraction wraps to the true non-negative offset.
-    base = vmin.view(np.uint64)
-    spans = vmax.view(np.uint64) - base
+    if multiplicity is None:
+        vmin = np.array([column.min() for column in channels.T], dtype=np.int64)
+        vmax = np.array([column.max() for column in channels.T], dtype=np.int64)
+        # uint64 subtraction wraps to the true non-negative offset.
+        base = vmin.view(np.uint64)
+        spans = vmax.view(np.uint64) - base
+    else:
+        vmin = np.array(
+            [(column // multiplicity).min() for column in channels.T],
+            dtype=np.int64,
+        )
+        base = vmin.view(np.uint64)
+        scale = multiplicity.astype(np.uint64)
+        spans = np.array(
+            [
+                (column.view(np.uint64) - scale * b).max()
+                for column, b in zip(channels.T, base)
+            ],
+            dtype=np.uint64,
+        )
     bit_index = [
         c * 64 + b for c in range(k) for b in range(int(spans[c]).bit_length())
     ]
     raw = np.empty((len(bit_index), (n_rows + 7) // 8), dtype=np.uint8)
     for start in range(0, n_rows if bit_index else 0, _SLICE_ROWS):
         stop = min(start + _SLICE_ROWS, n_rows)
-        offsets = (channels[start:stop].view(np.uint64) - base).astype(
+        shift = base if multiplicity is None else scale[start:stop, None] * base
+        offsets = (channels[start:stop].view(np.uint64) - shift).astype(
             "<u8", copy=False
         )
         # Row j holds byte j % 8 of channel j // 8 for every tile row.
@@ -169,6 +199,73 @@ def add_offsets(
     """``sums + supports * vmin`` per channel, mod 2**64 like int64 sums."""
     shifted = supports.astype(np.uint64)[:, None] * vmin.view(np.uint64)
     return (sums.view(np.uint64) + shifted).view(np.int64)
+
+
+def exact_bincount(
+    index: np.ndarray, values: np.ndarray, length: int
+) -> np.ndarray:
+    """Per-bin int64 sums of ``values``, exact (mod 2**64 like int64).
+
+    A float64 ``bincount`` is exact only while every bin sum stays below
+    2**53. The offsets from the minimum are summed in limbs of ``53 -
+    bit_length(len(index))`` bits, so no limb sum can reach 2**53: one
+    limb for binary values, one or two for fixed-point ones.
+    """
+    n = len(index)
+    lo = values.min() if n else np.int64(0)
+    offsets = values.view(np.uint64) - np.int64(lo).view(np.uint64)
+    width = max(1, 53 - n.bit_length())
+    span = int(offsets.max()).bit_length() if n else 0
+    out = np.bincount(index, minlength=length).astype(np.uint64)
+    out *= np.int64(lo).view(np.uint64)
+    for shift in range(0, span, width):
+        limb = (offsets >> np.uint64(shift)) & np.uint64((1 << width) - 1)
+        sums = np.bincount(index, limb.astype(np.float64), length)
+        out += sums.astype(np.uint64) << np.uint64(shift)
+    return out.view(np.int64)
+
+
+def distinct_rows(
+    matrix: np.ndarray, cardinalities: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(representatives, multiplicity, inverse)`` of the distinct rows.
+
+    Rows get one mixed-radix code each; a ``bincount`` over the codes
+    gives the multiplicities, and the present codes decode straight into
+    the representative rows (in code order), so no row sort is needed.
+    ``inverse[i]`` is the representative of row ``i``. Returns ``None``
+    when grouping would not shrink the rows at least
+    :data:`GROUP_RATIO` times, or the code space overflows int64.
+    """
+    n_rows = matrix.shape[0]
+    space = 1
+    for m in cardinalities:
+        space *= m
+    if n_rows == 0 or space > 2**62:
+        return None
+    code = np.zeros(n_rows, dtype=np.int64)
+    for j, m in enumerate(cardinalities):
+        code *= m
+        code += matrix[:, j]
+    if space <= 2 * n_rows + _BINCOUNT_CODES:
+        counts = np.bincount(code, minlength=space)
+        present = np.flatnonzero(counts)
+        if len(present) * GROUP_RATIO > n_rows:
+            return None
+        remap = np.empty(space, dtype=np.intp)
+        remap[present] = np.arange(len(present))
+        inverse = remap[code]
+        multiplicity = counts[present]
+    else:
+        present, inverse, multiplicity = np.unique(
+            code, return_inverse=True, return_counts=True
+        )
+        if len(present) * GROUP_RATIO > n_rows:
+            return None
+    representatives = np.empty((len(present), len(cardinalities)), np.int32)
+    for j in range(len(cardinalities) - 1, -1, -1):
+        present, representatives[:, j] = np.divmod(present, cardinalities[j])
+    return representatives, multiplicity.astype(np.int64), inverse
 
 
 def dense_item_rows(item_matrix: np.ndarray, n_items: int) -> np.ndarray:
@@ -403,8 +500,123 @@ class ItemCatalog:
         return self.n_items
 
 
+def _check_codes(matrix: np.ndarray, catalog: ItemCatalog) -> np.ndarray:
+    """``matrix`` as int32 codes, validated against ``catalog``."""
+    mat = np.asarray(matrix)
+    if mat.ndim != 2:
+        raise MiningError("matrix must be 2-dimensional")
+    if mat.shape[1] != len(catalog.attributes):
+        raise MiningError(
+            f"matrix has {mat.shape[1]} columns, catalog expects "
+            f"{len(catalog.attributes)}"
+        )
+    for j, m in enumerate(catalog.cardinalities):
+        if mat.shape[0] and (mat[:, j].min() < 0 or mat[:, j].max() >= m):
+            raise MiningError(f"codes out of range in column {j}")
+    return mat.astype(np.int32, copy=False)
+
+
+class ItemLayer:
+    """The metric-independent half of a :class:`TransactionDataset`.
+
+    Holds the stored rows (``matrix``), what each stands for
+    (``multiplicity``, ``None`` when every row is one transaction), the
+    global-id item matrix, the packed item bitmaps and the item part of
+    the fingerprint. One layer serves every channel set mined over the
+    same rows: an explorer builds it once and derives a dataset per
+    metric or weight model through :meth:`dataset`.
+
+    With ``group=True`` identical rows collapse to one stored row each
+    (:func:`distinct_rows`) when that shrinks them at least
+    :data:`GROUP_RATIO` times; ``inverse`` then maps every source row to
+    its stored row, and :meth:`dataset` sums channels per stored row.
+    ``n_rows`` is always the number of transactions (the multiplicity
+    sum), ``n_physical`` the number of stored rows.
+    """
+
+    def __init__(
+        self, matrix: np.ndarray, catalog: ItemCatalog, group: bool = False
+    ) -> None:
+        mat = _check_codes(matrix, catalog)
+        multiplicity = self.inverse = None
+        if group:
+            grouped = distinct_rows(mat, catalog.cardinalities)
+            if grouped is not None:
+                mat, multiplicity, self.inverse = grouped
+        self.matrix = mat
+        self.catalog = catalog
+        self.multiplicity = multiplicity
+        self.n_physical = mat.shape[0]
+        self.n_rows = (
+            self.n_physical if multiplicity is None else int(multiplicity.sum())
+        )
+        # global item ids per row: matrix + per-column offsets
+        self.item_matrix = mat + catalog.offsets[:-1].astype(np.int32)
+        # Built on first use: miners that do not need them (FP-growth)
+        # never pay for them.
+        self._packed_items: np.ndarray | None = None
+        self._multiplicity_planes: tuple[np.ndarray, ...] | None = None
+        self._digest: bytes | None = None
+
+    def dataset(self, channels: np.ndarray | None = None) -> "TransactionDataset":
+        """A dataset over these rows with per-source-row ``channels``.
+
+        Grouped layers sum each channel per stored row
+        (:func:`exact_bincount`), so the dataset holds one channel row
+        per stored row.
+        """
+        if self.inverse is not None and channels is not None:
+            ch = np.asarray(channels)
+            if ch.ndim != 2 or ch.shape[0] != len(self.inverse):
+                raise MiningError("channels must be (n_rows, k)")
+            ch = ch.astype(np.int64, copy=False)
+            channels = np.empty((self.n_physical, ch.shape[1]), np.int64)
+            for c, column in enumerate(ch.T):
+                channels[:, c] = exact_bincount(
+                    self.inverse, column, self.n_physical
+                )
+        return TransactionDataset.on_layer(self, channels)
+
+    @property
+    def packed_item_bitmaps(self) -> np.ndarray:
+        """``(n_items, ceil(n_physical / 8)) uint8`` coverage bitmaps."""
+        if self._packed_items is None:
+            self._packed_items = np.packbits(
+                dense_item_rows(self.item_matrix, self.catalog.n_items), axis=1
+            )
+        return self._packed_items
+
+    @property
+    def multiplicity_planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`bit_planes` of the multiplicity column (weighted only)."""
+        if self._multiplicity_planes is None:
+            self._multiplicity_planes = bit_planes(self.multiplicity[:, None])
+        return self._multiplicity_planes
+
+    def digest(self) -> bytes:
+        """Content hash of (matrix, multiplicity, cardinalities)."""
+        if self._digest is None:
+            h = hashlib.sha256()
+            h.update(repr(self.matrix.shape).encode())
+            h.update(np.ascontiguousarray(self.matrix).tobytes())
+            if self.multiplicity is not None:
+                h.update(b"multiplicity")
+                h.update(self.multiplicity.tobytes())
+            h.update(repr(self.catalog.cardinalities).encode())
+            self._digest = h.digest()
+        return self._digest
+
+
 class TransactionDataset:
     """Encoded transactions plus outcome channels, ready for mining.
+
+    An :class:`ItemLayer` (rows, items, multiplicities) plus a channel
+    layer: the channels, their bit planes and the fingerprint. On a
+    layer of distinct rows (:meth:`ItemLayer.dataset`) each row stands
+    for ``multiplicity`` identical transactions and its channels hold
+    their sums: supports are multiplicity sums and :attr:`n_rows` is
+    their total, so every miner's table equals the one mined over the
+    expanded rows.
 
     Parameters
     ----------
@@ -424,37 +636,40 @@ class TransactionDataset:
         catalog: ItemCatalog,
         channels: np.ndarray | None = None,
     ) -> None:
-        mat = np.asarray(matrix)
-        if mat.ndim != 2:
-            raise MiningError("matrix must be 2-dimensional")
-        if mat.shape[1] != len(catalog.attributes):
-            raise MiningError(
-                f"matrix has {mat.shape[1]} columns, catalog expects "
-                f"{len(catalog.attributes)}"
-            )
-        for j, m in enumerate(catalog.cardinalities):
-            if mat.shape[0] and (mat[:, j].min() < 0 or mat[:, j].max() >= m):
-                raise MiningError(f"codes out of range in column {j}")
-        self.matrix = mat.astype(np.int32, copy=False)
-        self.catalog = catalog
-        self.n_rows = mat.shape[0]
+        self._attach(ItemLayer(matrix, catalog), channels)
+
+    @classmethod
+    def on_layer(
+        cls, layer: ItemLayer, channels: np.ndarray | None = None
+    ) -> "TransactionDataset":
+        """A dataset sharing ``layer``: its bitmaps and item digest."""
+        dataset = cls.__new__(cls)
+        dataset._attach(layer, channels)
+        return dataset
+
+    def _attach(self, layer: ItemLayer, channels: np.ndarray | None) -> None:
+        self._use_layer(layer)
         if channels is None:
-            channels = np.empty((self.n_rows, 0), dtype=np.int64)
+            channels = np.empty((layer.n_physical, 0), dtype=np.int64)
         ch = np.asarray(channels)
-        if ch.ndim != 2 or ch.shape[0] != self.n_rows:
+        if ch.ndim != 2 or ch.shape[0] != layer.n_physical:
             raise MiningError("channels must be (n_rows, k)")
         self.channels = ch.astype(np.int64, copy=False)
         self.n_channels = ch.shape[1]
-        # global item ids per row: matrix + per-column offsets
-        self.item_matrix = self.matrix + catalog.offsets[:-1].astype(np.int32)
-        # Lazily built caches (packed bitmaps, fingerprint); building
-        # them costs one pass over the data, so miners that do not need
-        # them (Apriori, FP-growth) never pay for it.
-        self._packed_items: np.ndarray | None = None
+        # Lazily built channel caches (bitmaps, planes, fingerprint).
         self._packed_channels: np.ndarray | None = None
         self._channel_planes: tuple[np.ndarray, ...] | None = None
         self._channels_binary: bool | None = None
         self._fingerprint: str | None = None
+
+    def _use_layer(self, layer: ItemLayer) -> None:
+        # ``matrix`` and ``item_matrix`` hold the stored rows; ``n_rows``
+        # counts transactions (the multiplicity sum), ``n_physical``
+        # stored rows.
+        self.layer = layer
+        self.matrix, self.item_matrix = layer.matrix, layer.item_matrix
+        self.catalog, self.multiplicity = layer.catalog, layer.multiplicity
+        self.n_rows, self.n_physical = layer.n_rows, layer.n_physical
 
     # ------------------------------------------------------------------
     # streaming construction hooks
@@ -487,7 +702,7 @@ class TransactionDataset:
                     f"packed_items must be uint8 with shape {expected}, got "
                     f"{packed_items.dtype} {packed_items.shape}"
                 )
-            dataset._packed_items = packed_items
+            dataset.layer._packed_items = packed_items
         if packed_channels is not None:
             expected = (dataset.n_channels, n_bytes)
             if (
@@ -512,17 +727,17 @@ class TransactionDataset:
         never alias a :class:`~repro.fpm.cache.MiningCache` entry of its
         shorter past self. Channel binariness is re-examined against the
         batch: a non-binary batch drops the packed channel bitmaps. The
-        cached :attr:`channel_planes` are always dropped.
+        cached :attr:`channel_planes` are always dropped. The dataset
+        gets a new :class:`ItemLayer`, so datasets sharing the old one
+        are unaffected. Datasets with multiplicities cannot grow.
         """
+        if self.multiplicity is not None:
+            raise MiningError("cannot extend a dataset with multiplicities")
         mat = np.asarray(matrix)
         if mat.ndim != 2 or mat.shape[1] != len(self.catalog.attributes):
             raise MiningError(
                 f"extension matrix must be (rows, {len(self.catalog.attributes)})"
             )
-        for j, m in enumerate(self.catalog.cardinalities):
-            if mat.shape[0] and (mat[:, j].min() < 0 or mat[:, j].max() >= m):
-                raise MiningError(f"codes out of range in column {j}")
-        mat = mat.astype(np.int32, copy=False)
         if channels is None:
             if self.n_channels:
                 raise MiningError("extension must provide channel rows")
@@ -535,21 +750,23 @@ class TransactionDataset:
         ch = ch.astype(np.int64, copy=False)
 
         old_rows = self.n_rows
-        item_rows = mat + self.catalog.offsets[:-1].astype(np.int32)
-        self.matrix = np.concatenate([self.matrix, mat], axis=0)
+        old = self.layer
+        self._use_layer(
+            ItemLayer(np.concatenate([old.matrix, mat], axis=0), self.catalog)
+        )
         self.channels = np.concatenate([self.channels, ch], axis=0)
-        self.item_matrix = np.concatenate([self.item_matrix, item_rows], axis=0)
-        self.n_rows = self.matrix.shape[0]
-
-        if self._packed_items is not None:
-            self._packed_items = _grow_packed(
-                self._packed_items, old_rows, self.n_rows
-            )
+        if old._packed_items is not None:
+            packed = _grow_packed(old._packed_items, old_rows, self.n_rows)
+            if packed is old._packed_items:  # never write a shared layer
+                packed = packed.copy()
             append_packed_bits(
-                self._packed_items,
+                packed,
                 old_rows,
-                dense_item_rows(item_rows, self.catalog.n_items),
+                dense_item_rows(
+                    self.layer.item_matrix[old_rows:], self.catalog.n_items
+                ),
             )
+            self.layer._packed_items = packed
         batch_binary = bool(((ch == 0) | (ch == 1)).all())
         if self._packed_channels is not None:
             if batch_binary:
@@ -576,22 +793,32 @@ class TransactionDataset:
     # ------------------------------------------------------------------
 
     def item_mask(self, item_id: int) -> np.ndarray:
-        """Boolean coverage mask of one item."""
+        """Boolean coverage mask of one item over the stored rows."""
         j = self.catalog.column_of(item_id)
         code = item_id - int(self.catalog.offsets[j])
         return self.matrix[:, j] == code
 
+    def support_of_mask(self, mask: np.ndarray) -> int:
+        """Transactions covered by a boolean mask over the stored rows."""
+        if self.multiplicity is None:
+            return int(np.count_nonzero(mask))
+        return int(mask @ self.multiplicity)
+
     def counts_for_mask(self, mask: np.ndarray) -> np.ndarray:
         """``[support_count, channel sums...]`` for a boolean row mask."""
-        n = int(mask.sum())
+        n = self.support_of_mask(mask)
         if self.n_channels == 0:
             return np.array([n], dtype=np.int64)
         sums = self.channels[mask].sum(axis=0)
         return np.concatenate([[n], sums]).astype(np.int64)
 
+    def totals(self) -> np.ndarray:
+        """``[n_rows, channel sums...]``: the empty itemset's counts."""
+        return self.counts_for_mask(np.ones(self.n_physical, dtype=bool))
+
     def itemset_mask(self, item_ids: Sequence[int]) -> np.ndarray:
         """Boolean coverage mask of an itemset (AND of its items)."""
-        mask = np.ones(self.n_rows, dtype=bool)
+        mask = np.ones(self.n_physical, dtype=bool)
         for i in item_ids:
             mask &= self.item_mask(i)
         return mask
@@ -602,8 +829,8 @@ class TransactionDataset:
 
     @property
     def n_packed_bytes(self) -> int:
-        """Bytes per packed row bitmap (``ceil(n_rows / 8)``)."""
-        return (self.n_rows + 7) // 8
+        """Bytes per packed row bitmap (``ceil(n_physical / 8)``)."""
+        return (self.n_physical + 7) // 8
 
     @property
     def packed_items_built(self) -> bool:
@@ -614,7 +841,7 @@ class TransactionDataset:
         not — checking here avoids forcing a full-dataset pack just to
         take a sample.
         """
-        return self._packed_items is not None
+        return self.layer._packed_items is not None
 
     @property
     def packed_channels_built(self) -> bool:
@@ -627,13 +854,10 @@ class TransactionDataset:
         per item id, built with ``np.packbits`` (big-endian bit order).
 
         Padding bits in the trailing byte are zero, so bitwise ANDs and
-        popcounts over these rows are exact. Built once and cached.
+        popcounts over these rows are exact. Built once per
+        :class:`ItemLayer` and shared by every dataset on it.
         """
-        if self._packed_items is None:
-            self._packed_items = np.packbits(
-                dense_item_rows(self.item_matrix, self.catalog.n_items), axis=1
-            )
-        return self._packed_items
+        return self.layer.packed_item_bitmaps
 
     @property
     def channels_binary(self) -> bool:
@@ -669,7 +893,9 @@ class TransactionDataset:
 
         See :func:`bit_planes`; binary channels are the one-plane case,
         :attr:`packed_channel_bitmaps` with identity weights and zero
-        minima. Built at the first mine, cached, dropped by :meth:`extend`.
+        minima. With multiplicities, ``vmin`` scales with the support
+        (the multiplicity sum). Built at the first mine, cached, dropped
+        by :meth:`extend`.
         """
         if self._channel_planes is None:
             k = self.n_channels
@@ -680,21 +906,21 @@ class TransactionDataset:
                     np.zeros(k, dtype=np.int64),
                 )
             else:
-                self._channel_planes = bit_planes(self.channels)
+                self._channel_planes = bit_planes(
+                    self.channels, self.multiplicity
+                )
         return self._channel_planes
 
     def fingerprint(self) -> str:
-        """Content hash identifying (matrix, channels, catalog) exactly.
+        """Content hash identifying (layer, channels) exactly.
 
         Used as the dataset component of mining-cache keys: two datasets
-        with equal fingerprints produce identical mining results.
+        with equal fingerprints produce identical mining results. The
+        layer's part is hashed once and shared by its datasets.
         """
         if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(repr(self.matrix.shape).encode())
-            h.update(np.ascontiguousarray(self.matrix).tobytes())
+            h = hashlib.sha256(self.layer.digest())
             h.update(repr(self.channels.shape).encode())
             h.update(np.ascontiguousarray(self.channels).tobytes())
-            h.update(repr(self.catalog.cardinalities).encode())
             self._fingerprint = h.hexdigest()
         return self._fingerprint

@@ -8,6 +8,12 @@ per-instance weight vector from the ranking scores (see
 serial or row-sharded — then decodes the sufficient statistics into a
 vectorized :class:`~repro.rank.result.RankDivergenceResult`.
 
+The explorer groups its rows once (:class:`~repro.fpm.transactions.
+ItemLayer`). A ranking pool has few attributes over many candidates, so
+its encoded rows repeat heavily: every weight model then sums its
+channels per distinct row and mines the distinct rows, with the row
+multiplicity as one more bit-sliced channel.
+
 Mining runs are memoized through a
 :class:`~repro.fpm.cache.MiningCache`; the dataset fingerprint hashes
 the channel values, so different weight models (or different top-k
@@ -24,7 +30,7 @@ from repro.core.fixedpoint import encode_weight_channels
 from repro.exceptions import ReproError, SchemaError
 from repro.fpm.cache import MiningCache
 from repro.fpm.miner import mine_frequent
-from repro.fpm.transactions import ItemCatalog, TransactionDataset
+from repro.fpm.transactions import ItemCatalog, ItemLayer, TransactionDataset
 from repro.obs import get_registry
 from repro.rank.result import RankDivergenceResult
 from repro.rank.weights import rank_positions, rank_weights
@@ -94,9 +100,11 @@ class RankDivergenceExplorer:
         # Rank positions of the scores: one stable argsort, computed at
         # the first rank-based weight model and shared by all of them.
         self._ranks: np.ndarray | None = None
-        # One TransactionDataset per (weight_model, topk): the packed
-        # bitmaps and the mining-cache fingerprint stay warm across
+        # One item layer for every weight model (built at the first
+        # explore), and one dataset per (weight_model, topk) on it: the
+        # channel sums and the mining-cache fingerprint stay warm across
         # explore() calls.
+        self._layer: ItemLayer | None = None
         self._datasets: dict[tuple[str, int | None], TransactionDataset] = {}
 
     # ------------------------------------------------------------------
@@ -168,6 +176,14 @@ class RankDivergenceExplorer:
             ranks=self._ranks,
         )
 
+    @property
+    def item_layer(self) -> ItemLayer:
+        """The rows every weight model mines: distinct rows when they
+        compress."""
+        if self._layer is None:
+            self._layer = ItemLayer(self._matrix, self.catalog, group=True)
+        return self._layer
+
     def _dataset_for(
         self, weight_model: str, topk: int | None
     ) -> tuple[TransactionDataset, str]:
@@ -180,7 +196,7 @@ class RankDivergenceExplorer:
         dataset = self._datasets.get(key)
         if dataset is None:
             channels = encode_weight_channels(self.weights(weight_model, topk))
-            dataset = TransactionDataset(self._matrix, self.catalog, channels)
+            dataset = self.item_layer.dataset(channels)
             self._datasets[key] = dataset
         metric = (
             f"topk@{int(topk)}" if weight_model == "topk" else weight_model

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import MiningError
 from repro.fpm import EclatMiner
-from repro.fpm.apriori import AprioriMiner
+from repro.fpm.bitset import AprioriMiner
 from repro.fpm.bitset import BitsetMiner
 from repro.fpm.bruteforce import BruteForceMiner
 from repro.fpm.fpgrowth import FPGrowthMiner

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.fpm import EclatMiner
-from repro.fpm.apriori import AprioriMiner
+from repro.fpm.bitset import AprioriMiner
 from repro.fpm.bitset import BitsetMiner
 from repro.fpm.fpgrowth import FPGrowthMiner
 from repro.fpm.transactions import ItemCatalog, TransactionDataset
