@@ -9,8 +9,8 @@ every artifact:
 ``name``
     The benchmark's stable identifier (matches the script name).
 ``quick``
-    Whether the run was a ``REPRO_BENCH_QUICK`` smoke — quick artifacts
-    carry no performance claims and should not be committed.
+    Whether the run was a ``REPRO_BENCH_QUICK`` smoke. Quick runs carry
+    no performance claims, so they never overwrite the committed file.
 ``speedup``
     The headline speedup the benchmark asserts on in full mode (the
     single number a dashboard would plot), or ``None`` when the
@@ -22,7 +22,12 @@ Benchmark-specific keys follow after the envelope, unchanged.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
+
+# A ``REPRO_BENCH_QUICK`` smoke: benchmarks shrink or skip their timed
+# claims, and neither the JSON artifact nor the results text is written.
+QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 
 def write_bench_json(
@@ -33,7 +38,10 @@ def write_bench_json(
     quick: bool,
     speedup: float | None,
 ) -> dict:
-    """Write ``payload`` under the uniform envelope; return what was written."""
+    """Write ``payload`` under the uniform envelope; return the body.
+
+    A quick run returns the body without writing it.
+    """
     body = {
         "name": name,
         "quick": bool(quick),
@@ -42,5 +50,6 @@ def write_bench_json(
     for key, value in payload.items():
         if key not in ("name", "quick", "speedup"):
             body[key] = value
-    Path(path).write_text(json.dumps(body, indent=2) + "\n")
+    if not quick:
+        Path(path).write_text(json.dumps(body, indent=2) + "\n")
     return body

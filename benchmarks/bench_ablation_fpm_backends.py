@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from _envelope import write_bench_json
+from _envelope import QUICK, write_bench_json
 from repro.experiments.runner import time_call
 from repro.experiments.tables import format_table
 from repro.obs import get_registry, span_rows
@@ -92,7 +92,7 @@ def test_ablation_fpm_backends(benchmark, compas_explorer, report):
         JSON_PATH,
         "fpm_backends",
         payload,
-        quick=False,
+        quick=QUICK,
         speedup=max(speedups.values()),
     )
 

@@ -18,7 +18,7 @@ implementation, so the comparison isolates the per-call analytics cost
 import timeit
 from pathlib import Path
 
-from _envelope import write_bench_json
+from _envelope import QUICK, write_bench_json
 from repro.core.corrective import (
     find_corrective_items,
     find_corrective_items_reference,
@@ -141,7 +141,7 @@ def test_ablation_lattice_analytics(benchmark, compas_explorer, report):
         JSON_PATH,
         "lattice_analytics",
         payload,
-        quick=False,
+        quick=QUICK,
         speedup=speedups[0.05],
     )
 

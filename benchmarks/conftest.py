@@ -3,7 +3,9 @@
 Each bench module reproduces one table or figure of the paper: it
 regenerates the rows/series the paper reports, prints them, writes them
 to ``benchmarks/results/<name>.txt``, and asserts the qualitative shape
-(who wins, direction of effects, where crossovers fall).
+(who wins, direction of effects, where crossovers fall). A
+``REPRO_BENCH_QUICK`` smoke prints its rows but leaves the committed
+results files alone.
 
 Datasets are loaded once per session through the registry cache, so the
 expensive steps (classifier training, mining) are not repeated across
@@ -16,6 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from _envelope import QUICK
 
 from repro.core.divergence import DivergenceExplorer
 from repro.datasets import load
@@ -26,14 +29,14 @@ RESULTS_DIR = Path(__file__).parent / "results"
 @pytest.fixture(scope="session")
 def report():
     """Print a reproduced table/figure and persist it under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-
     def _report(name: str, text: str) -> None:
         banner = f"\n{'=' * 70}\n{name}\n{'=' * 70}\n{text}\n"
         # Bypass pytest capture so the rows are visible in the console.
         sys.__stdout__.write(banner)
         sys.__stdout__.flush()
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        if not QUICK:
+            RESULTS_DIR.mkdir(exist_ok=True)
+            (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
     return _report
 

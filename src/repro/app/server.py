@@ -1,97 +1,46 @@
 """HTTP/JSON backend for interactive divergence exploration.
 
-Endpoints (all GET, JSON responses):
+``_ROUTES`` lists every path with its method and handler; the
+parameters of each endpoint are documented in ``docs/server.md``:
 
-- ``/api/datasets``                      bundled datasets + characteristics
-- ``/api/explore``    params: ``dataset, metric, support, top, epsilon?``
-- ``/api/shapley``    params: ``dataset, metric, support, pattern``
-- ``/api/explain``    params: ``dataset, metric, support, top, epsilon?``
-- ``/api/global``     params: ``dataset, metric, support, top``
-- ``/api/corrective`` params: ``dataset, metric, support, top``
-- ``/api/lattice``    params: ``dataset, metric, support, pattern, threshold?``
-- ``/api/compare``    params: ``dataset, metric, support, models,
-  baseline?, top?, min_t?`` — shared-lattice multi-model comparison
-  (see ``docs/compare.md``): ``models`` is a comma-separated list of
-  prediction columns and/or ``classifier:<name>`` specs, mined once
-  and compared pairwise against the baseline
-- ``/api/rank``       params: ``dataset, weight_model?, support?, rank_k?,
-  top?, workers?`` — exposure/rank divergence of the dataset's ranking
-  score over all frequent subgroups (see ``docs/ranking.md``); weight
-  models: ``exposure`` (default), ``topk`` (needs ``rank_k``),
-  ``reciprocal_rank``, ``score``
-- ``/api/metrics``    process metrics: cache counters, span timings,
-  per-endpoint request counts/status/latency percentiles
-- ``/``               minimal HTML page that calls the API
+- ``/api/explore``, ``/api/explain``, ``/api/shapley``, ``/api/global``,
+  ``/api/corrective``, ``/api/lattice``: one cached exploration of
+  ``(dataset, metric, support)`` and the paper's analyses of it;
+- ``/api/compare`` (``docs/compare.md``) and ``/api/rank``
+  (``docs/ranking.md``): multi-model comparison and rank divergence;
+- ``POST /api/upload``: a CSV registered under an ``upload:<name>``
+  handle and explored like a bundled dataset;
+- ``POST /api/monitor/ingest``, ``/api/monitor/status`` and
+  ``/api/monitor/alerts``: the streaming monitor (``docs/streaming.md``);
+- ``/api/patterns`` and ``POST /api/patterns/ack``: the durable pattern
+  ledger of a server started with a store path (``docs/patterns.md``);
+- ``/api/datasets``, ``/api/metrics`` and ``/``: dataset
+  characteristics, process metrics and a minimal HTML page.
 
-Streaming monitor endpoints (see ``docs/streaming.md``): ``POST
-/api/monitor/ingest`` feeds batches of labeled predictions to a single
-lock-protected :class:`~repro.stream.monitor.DivergenceMonitor`
-(created on first ingest from the request's config params), ``GET
-/api/monitor/status`` snapshots it, and ``GET /api/monitor/alerts``
-returns the structured drift-alert log (paginated via ``offset`` /
-``limit``; ``since`` skips already-seen entries).
-
-Pattern store endpoints (see ``docs/patterns.md``): when the server is
-started with a store path (``--store`` / ``store_path=``), every
-monitor window is journaled into a durable
-:class:`~repro.store.PatternStore` that survives restarts. ``GET
-/api/patterns`` serves the deduplicated pattern ledger (paginated,
-filterable by ``acked``, ``min_divergence`` and ``since_window``) and
-``POST /api/patterns/ack`` flips a pattern's acknowledgement state.
-
-Errors return ``{"error": ...}`` with status 400/404. Every payload is
-sanitized before serialization: non-finite floats (``inf``/``nan``)
-become ``null``, so responses are always strictly valid JSON
-(``JSON.parse``-safe — ``json.dumps`` would otherwise emit bare
-``Infinity``/``NaN`` tokens). The server is a stock
-``ThreadingHTTPServer``; run it with ``python -m repro.app``.
-
-Resilience (see ``docs/resilience.md``):
-
-- Per-request deadlines: ``deadline`` query parameter or ``X-Deadline``
-  header (seconds), falling back to the server-wide default
-  (``--deadline``). Expensive work runs inside a
-  :func:`repro.resilience.cancel_scope`, so mining and the lattice
-  kernels abort cooperatively; an expired deadline yields a structured
-  ``504`` payload (``{"error", "timeout": true, "deadline"}``) — or a
-  *degraded* ``200`` re-serving a cached coarser-support exploration of
-  the same dataset/metric, marked ``{"degraded": true,
-  "requested_support", "served_support"}``.
-- Backpressure: at most ``max_concurrent`` expensive requests run at
-  once (admission is a non-blocking semaphore); excess load is shed
-  with ``503`` + ``Retry-After``. The ``Retry-After`` value is a
-  computed backoff hint — it scales with the busy fraction of the
-  admission slots and the request's own deadline budget, clamped to
-  ``[1, 30]`` seconds (see :func:`retry_after_hint`). Cheap endpoints
-  (``/``, ``/api/datasets``, ``/api/metrics``) are exempt so health
-  checks and dashboards keep working under load.
-- Counters ``resilience.timeouts`` / ``resilience.shed`` /
-  ``resilience.degraded`` / ``resilience.cancelled`` surface in
-  ``/api/metrics``.
-
-Approximate exploration (see ``docs/approx.md``): ``/api/explore``
-accepts ``sample=`` (fraction, row count or ``auto``) and
-``confidence=`` and then serves a sampled divergence table with
-credible intervals (``approximate: true``, ``sample_rows``,
-``total_rows``, ``stable_ranks``, per-row ``ci_low``/``ci_high``/
-``stable``). On datasets of at least ``approx_auto_rows`` rows a
-request carrying a deadline and no cached exact result is served
-sampled *pre-emptively*, and a deadline that expires mid-exploration
-is answered with a fresh bounded-budget sampled attempt *before* the
-coarser-support degrade path; both schedule a background refinement
-that doubles the sample until exact and then installs the exact result
-into the cache. Counters ``approx.rounds`` / ``approx.refinements`` /
-``approx.served_sampled`` surface in ``/api/metrics``.
+Every request passes one failure funnel (``_Handler._serve``): bad
+input (:class:`~repro.exceptions.ReproError`) is a ``400``, an unknown
+path or resource a ``404``, a cancelled request or shed load a ``503``
+with a computed ``Retry-After``, an expired deadline a ``504`` unless a
+sampled or coarser-support answer can stand in (``docs/resilience.md``,
+``docs/approx.md``), and any other exception a ``500``
+``{"error": "internal error", "type": <class name>}`` whose traceback
+goes to the ``repro.app`` logger. Every payload is sanitized before
+serialization: non-finite floats become ``null``, so responses are
+strictly valid JSON. The server is a stock ``ThreadingHTTPServer``;
+run it with ``python -m repro.app``.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
@@ -103,7 +52,6 @@ from repro.core.global_divergence import (
     global_item_divergence,
     individual_item_divergence,
 )
-from repro.core.items import Itemset
 from repro.core.outcomes import outcome_metric
 from repro.core.pruning import prune_redundant
 from repro.core.result import PatternDivergenceResult
@@ -111,19 +59,26 @@ from repro.datasets import DATASET_NAMES, dataset_characteristics, load
 from repro.exceptions import ReproError
 from repro.obs import get_registry
 from repro.params import (
+    validate_acked,
     validate_alert_threshold,
+    validate_bins,
     validate_confidence,
+    validate_content_length,
     validate_deadline,
+    validate_divergence_threshold,
     validate_epsilon,
     validate_limit,
     validate_min_t,
     validate_models,
     validate_offset,
+    validate_pattern,
     validate_rank_k,
     validate_sample,
+    validate_since,
     validate_step,
     validate_support,
     validate_top,
+    validate_utf8,
     validate_weight_model,
     validate_window,
     validate_workers,
@@ -133,10 +88,13 @@ from repro.resilience import (
     CancelToken,
     DeadlineExceeded,
     cancel_scope,
+    checkpoint,
 )
 from repro.store import PatternStore
 from repro.stream import DivergenceMonitor, DriftConfig
 from repro.stream.runner import catalog_for
+
+_LOG = logging.getLogger("repro.app")
 
 _INDEX_HTML = """<!doctype html>
 <html><head><title>DivExplorer</title>
@@ -183,6 +141,34 @@ async function run() {
 """
 
 
+class _LRU(OrderedDict):
+    """A bounded mapping in least-recently-used order.
+
+    Not locked: its owner holds a lock around every call.
+    """
+
+    def __init__(self, bound: int) -> None:
+        super().__init__()
+        self.bound = max(1, bound)
+
+    def touch(self, key: object) -> object:
+        """The value for ``key``, refreshed as most recent; or ``None``."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def insert(self, key: object, value: object) -> tuple[object, list]:
+        """Insert ``value`` unless ``key`` raced in first, then evict
+        past the bound; returns the value kept and the evicted keys."""
+        value = self.setdefault(key, value)
+        self.move_to_end(key)
+        evicted = []
+        while len(self) > self.bound:
+            evicted.append(self.popitem(last=False)[0])
+        return value, evicted
+
+
 class _CachedExploration:
     """One cached exploration plus its rendered top-k JSON row lists.
 
@@ -197,16 +183,107 @@ class _CachedExploration:
 
     def __init__(self, result: PatternDivergenceResult) -> None:
         self.result = result
-        self.renders: OrderedDict[tuple, list[dict]] = OrderedDict()
+        self.renders = _LRU(self._MAX_RENDERS)
+
+
+class ResultCache:
+    """One thread-safe LRU over every result the server caches.
+
+    Keys are ``(kind, dataset, ...)`` tuples, ``kind`` one of
+    ``"explore"`` (a :class:`_CachedExploration`), ``"compare"`` and
+    ``"rank"``. ``max_results`` bounds all kinds together; every hit
+    refreshes an entry and every insert past the bound evicts the
+    least-recently-used one, so a long-running server fed many
+    uploads and configurations stays flat in memory. Each kind counts
+    its hits, misses and evictions and gauges its entries under its own
+    metric prefix (:attr:`PREFIXES`).
+    """
+
+    PREFIXES = {
+        "explore": "app_cache.",
+        "compare": "compare.cache_",
+        "rank": "rank.cache_",
+    }
+
+    def __init__(self, max_results: int) -> None:
+        self._entries = _LRU(max_results)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def __contains__(self, key: tuple) -> bool:
+        with self._lock:
+            return key in self._entries
+
+    def keys(self) -> list[tuple]:
+        """A snapshot of the cached keys, least recently used first."""
+        with self._lock:
+            return list(self._entries)
+
+    def get_or_build(self, key: tuple, build: Callable[[], object]) -> object:
+        """The cached value for ``key``; on a miss, ``build()`` it.
+
+        The lookup holds the lock; the build runs outside it, so slow
+        mining never blocks other keys. A build that raises caches
+        nothing.
+        """
+        registry = get_registry()
+        prefix = self.PREFIXES[key[0]]
+        with self._lock:
+            value = self._entries.touch(key)
+        if value is not None:
+            registry.counter(prefix + "hits").inc()
+            return value
+        registry.counter(prefix + "misses").inc()
+        return self.put(key, build())
+
+    def put(self, key: tuple, value: object) -> object:
+        """Install ``value``, evict to ``max_results``; return the entry kept.
+
+        If another thread raced in an entry for the same key, that
+        first entry is kept (an exploration's rendered rows survive).
+        """
+        registry = get_registry()
+        with self._lock:
+            value, evicted = self._entries.insert(key, value)
+            for old in evicted:
+                registry.counter(self.PREFIXES[old[0]] + "evictions").inc()
+            self._publish(registry)
+        return value
+
+    def invalidate(self, dataset: str) -> None:
+        """Drop every cached result of one dataset (a re-uploaded handle)."""
+        with self._lock:
+            for key in [k for k in self._entries if k[1] == dataset]:
+                del self._entries[key]
+            self._publish(get_registry())
+
+    def gauges(self) -> dict[str, float]:
+        """Live entries per kind, keyed by the kind's gauge name."""
+        with self._lock:
+            return self._gauges()
+
+    def _gauges(self) -> dict[str, float]:
+        counts = dict.fromkeys(self.PREFIXES, 0)
+        for key in self._entries:
+            counts[key[0]] += 1
+        return {
+            self.PREFIXES[kind] + "entries": float(n)
+            for kind, n in counts.items()
+        }
+
+    def _publish(self, registry) -> None:
+        for name, value in self._gauges().items():
+            registry.gauge(name).set(value)
 
 
 class AppState:
-    """Cached explorations keyed by (dataset, metric, support).
+    """Explorers and cached results behind the server's endpoints.
 
-    The cache is a small LRU (``max_results`` entries): every hit
-    refreshes an entry, and exploring a new configuration past the
-    bound evicts the least-recently-used one — long-running servers
-    fed many uploads/configs stay flat in memory. Besides the bundled
+    Explorations, model comparisons and rank tables share one
+    :class:`ResultCache` of ``max_results`` entries. Besides the bundled
     datasets, uploaded CSVs are registered under ``upload:<name>``
     handles and explored exactly like bundled data.
     """
@@ -229,7 +306,6 @@ class AppState:
         store_path: str | None = None,
     ) -> None:
         self.seed = seed
-        self.max_results = max(1, max_results)
         self.default_deadline = validate_deadline(default_deadline)
         self.max_concurrent = max(1, int(max_concurrent))
         self.approx_auto_rows = max(1, int(approx_auto_rows))
@@ -251,19 +327,7 @@ class AppState:
         self.store = (
             PatternStore(store_path) if store_path is not None else None
         )
-        self._cache: OrderedDict[tuple, _CachedExploration] = OrderedDict()
-        # Model comparisons live in their own LRU: the exploration cache
-        # is keyed by 3-tuples that coarser_support() introspects, and a
-        # CompareResult is not a substitutable answer for /api/explore.
-        self._compare_cache: OrderedDict[tuple, "CompareResult"] = (
-            OrderedDict()
-        )
-        # Rank-divergence results get their own LRU for the same reason
-        # — a RankDivergenceResult is keyed by weight model, not metric,
-        # and cannot substitute for an /api/explore answer.
-        self._rank_cache: OrderedDict[tuple, "RankDivergenceResult"] = (
-            OrderedDict()
-        )
+        self._cache = ResultCache(max_results)
         self._explorers: dict[str, DivergenceExplorer] = {}
         self._rank_explorers: dict[str, "RankDivergenceExplorer"] = {}
         self._lock = threading.Lock()
@@ -300,11 +364,6 @@ class AppState:
                 )
             return self._monitor
 
-    def monitor_ingest(self, params: dict[str, str], body: bytes) -> dict:
-        """Feed one JSON batch to the (possibly new) monitor session."""
-        session = self.monitor_session(params, create=True)
-        return session.ingest(body)
-
     def register_upload(
         self,
         name: str,
@@ -334,14 +393,7 @@ class AppState:
         with self._lock:
             self._explorers[handle] = explorer
             # invalidate stale results for a re-uploaded handle
-            self._cache = OrderedDict(
-                (k, v) for k, v in self._cache.items() if k[0] != handle
-            )
-            self._compare_cache = OrderedDict(
-                (k, v)
-                for k, v in self._compare_cache.items()
-                if k[0] != handle
-            )
+            self._cache.invalidate(handle)
         return handle
 
     def explorer(self, dataset: str) -> DivergenceExplorer:
@@ -362,6 +414,18 @@ class AppState:
             self._explorers[dataset] = explorer
             return self._explorers[dataset]
 
+    def auto_samples(self, dataset: str) -> bool:
+        """Whether deadline-carrying explores of ``dataset`` may be
+        served sampled: it has at least ``approx_auto_rows`` rows."""
+        try:
+            explorer = self.explorer(dataset)
+        except ReproError:
+            return False  # let the exact path raise the clear 400
+        return explorer.table.n_rows >= self.approx_auto_rows
+
+    def _n_workers(self, workers: int | None) -> int | None:
+        return workers if workers is not None else self.default_workers
+
     def _entry(
         self,
         dataset: str,
@@ -369,39 +433,25 @@ class AppState:
         support: float,
         workers: int | None = None,
     ) -> _CachedExploration:
-        """LRU-cached exploration entry for one configuration.
+        """Cached exploration entry for one configuration.
 
         ``workers`` deliberately stays out of the cache key: the
         sharded engine's merged counts are bit-identical to a serial
         run, so any cached exploration answers any worker count.
         """
-        key = (dataset, metric, support)
-        registry = get_registry()
-        with self._lock:
-            entry = self._cache.get(key)
-            if entry is not None:
-                self._cache.move_to_end(key)
-                registry.counter("app_cache.hits").inc()
-                return entry
-        registry.counter("app_cache.misses").inc()
-        result = self.explorer(dataset).explore(
-            metric,
-            min_support=support,
-            n_workers=workers if workers is not None else self.default_workers,
+
+        def build() -> _CachedExploration:
+            return _CachedExploration(
+                self.explorer(dataset).explore(
+                    metric,
+                    min_support=support,
+                    n_workers=self._n_workers(workers),
+                )
+            )
+
+        return self._cache.get_or_build(
+            ("explore", dataset, metric, support), build
         )
-        with self._lock:
-            # Another thread may have raced us to the same key; keep the
-            # first entry so its cached renders survive.
-            entry = self._cache.get(key)
-            if entry is None:
-                entry = _CachedExploration(result)
-                self._cache[key] = entry
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.max_results:
-                self._cache.popitem(last=False)
-                registry.counter("app_cache.evictions").inc()
-            registry.gauge("app_cache.entries").set(len(self._cache))
-            return entry
 
     def result(
         self,
@@ -421,7 +471,7 @@ class AppState:
         specs: tuple[str, ...],
         workers: int | None = None,
     ) -> "CompareResult":
-        """LRU-cached shared-lattice comparison of one spec list.
+        """Cached shared-lattice comparison of one spec list.
 
         ``workers`` stays out of the key for the same reason as in
         :meth:`_entry`: sharded and serial mining are bit-identical.
@@ -430,54 +480,39 @@ class AppState:
         """
         from repro.core.compare import explore_compare, resolve_models
 
-        key = (dataset, metric, support, specs)
-        registry = get_registry()
-        with self._lock:
-            comparison = self._compare_cache.get(key)
-            if comparison is not None:
-                self._compare_cache.move_to_end(key)
-                registry.counter("compare.cache_hits").inc()
-                return comparison
-        registry.counter("compare.cache_misses").inc()
-        explorer = self.explorer(dataset)
-        # Columns consumed as model predictions must not double as
-        # analysis attributes (an upload's spare prediction columns are
-        # ordinary categoricals to its explorer).
-        attributes = [a for a in explorer.attributes if a not in set(specs)]
-        resolved = resolve_models(
-            explorer.table,
-            explorer.true_column,
-            list(specs),
-            attributes=attributes,
-            seed=self.seed,
-        )
-        comparison = explore_compare(
-            explorer.table,
-            explorer.true_column,
-            resolved,
-            metric=metric,
-            min_support=support,
-            attributes=attributes,
-            n_workers=workers if workers is not None else self.default_workers,
-            mining_cache=explorer.mining_cache,
-        )
-        # Build the shared lattice index eagerly, outside the lock, so
-        # cache hits serve fully materialized comparisons.
-        comparison.lattice_index()
-        with self._lock:
-            raced = self._compare_cache.get(key)
-            if raced is not None:
-                comparison = raced
-            else:
-                self._compare_cache[key] = comparison
-            self._compare_cache.move_to_end(key)
-            while len(self._compare_cache) > self.max_results:
-                self._compare_cache.popitem(last=False)
-                registry.counter("compare.cache_evictions").inc()
-            registry.gauge("compare.cache_entries").set(
-                len(self._compare_cache)
+        def build() -> "CompareResult":
+            explorer = self.explorer(dataset)
+            # Columns consumed as model predictions must not double as
+            # analysis attributes (an upload's spare prediction columns
+            # are ordinary categoricals to its explorer).
+            attributes = [
+                a for a in explorer.attributes if a not in set(specs)
+            ]
+            resolved = resolve_models(
+                explorer.table,
+                explorer.true_column,
+                list(specs),
+                attributes=attributes,
+                seed=self.seed,
             )
+            comparison = explore_compare(
+                explorer.table,
+                explorer.true_column,
+                resolved,
+                metric=metric,
+                min_support=support,
+                attributes=attributes,
+                n_workers=self._n_workers(workers),
+                mining_cache=explorer.mining_cache,
+            )
+            # Build the shared lattice index eagerly, outside the lock,
+            # so cache hits serve fully materialized comparisons.
+            comparison.lattice_index()
             return comparison
+
+        return self._cache.get_or_build(
+            ("compare", dataset, metric, support, specs), build
+        )
 
     def rank_explorer(self, dataset: str) -> "RankDivergenceExplorer":
         """Load (and cache) the rank explorer for a bundled dataset.
@@ -522,38 +557,20 @@ class AppState:
         topk: int | None = None,
         workers: int | None = None,
     ) -> "RankDivergenceResult":
-        """LRU-cached rank-divergence table for one configuration.
+        """Cached rank-divergence table for one configuration.
 
         ``workers`` stays out of the key for the same reason as in
         :meth:`_entry`: sharded and serial mining are bit-identical.
         """
-        key = (dataset, weight_model, support, topk)
-        registry = get_registry()
-        with self._lock:
-            result = self._rank_cache.get(key)
-            if result is not None:
-                self._rank_cache.move_to_end(key)
-                registry.counter("rank.cache_hits").inc()
-                return result
-        registry.counter("rank.cache_misses").inc()
-        result = self.rank_explorer(dataset).explore(
-            weight_model=weight_model,
-            min_support=support,
-            topk=topk,
-            n_workers=workers if workers is not None else self.default_workers,
+        return self._cache.get_or_build(
+            ("rank", dataset, weight_model, support, topk),
+            lambda: self.rank_explorer(dataset).explore(
+                weight_model=weight_model,
+                min_support=support,
+                topk=topk,
+                n_workers=self._n_workers(workers),
+            ),
         )
-        with self._lock:
-            raced = self._rank_cache.get(key)
-            if raced is not None:
-                result = raced
-            else:
-                self._rank_cache[key] = result
-            self._rank_cache.move_to_end(key)
-            while len(self._rank_cache) > self.max_results:
-                self._rank_cache.popitem(last=False)
-                registry.counter("rank.cache_evictions").inc()
-            registry.gauge("rank.cache_entries").set(len(self._rank_cache))
-            return result
 
     def coarser_support(
         self, dataset: str, metric: str, support: float
@@ -562,13 +579,14 @@ class AppState:
         same dataset/metric — the best degraded substitute when the
         requested exploration timed out (higher support ⇒ fewer
         patterns ⇒ already-mined, strictly cheaper result)."""
-        with self._lock:
-            candidates = [
-                key[2]
-                for key in self._cache
-                if key[0] == dataset and key[1] == metric and key[2] > support
-            ]
-        return min(candidates, default=None)
+        return min(
+            (
+                key[3]
+                for key in self._cache.keys()
+                if key[:3] == ("explore", dataset, metric) and key[3] > support
+            ),
+            default=None,
+        )
 
     def has_entry(self, dataset: str, metric: str, support: float) -> bool:
         """Whether an exact exploration is already cached for the key.
@@ -576,8 +594,7 @@ class AppState:
         Auto-sampling only pre-empts *uncached* exact work — a cached
         entry is served directly, sampled or not requested.
         """
-        with self._lock:
-            return (dataset, metric, support) in self._cache
+        return ("explore", dataset, metric, support) in self._cache
 
     def store_result(
         self,
@@ -586,22 +603,15 @@ class AppState:
         support: float,
         result: PatternDivergenceResult,
     ) -> None:
-        """Install an exact result into the LRU (refinement completion).
+        """Install an exact result into the cache (refinement completion).
 
         Keeps an existing entry if one raced in (its rendered rows
         survive); only plain exact results belong here — sampled tables
         must never answer an exact cache key.
         """
-        key = (dataset, metric, support)
-        registry = get_registry()
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = _CachedExploration(result)
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.max_results:
-                self._cache.popitem(last=False)
-                registry.counter("app_cache.evictions").inc()
-            registry.gauge("app_cache.entries").set(len(self._cache))
+        self._cache.put(
+            ("explore", dataset, metric, support), _CachedExploration(result)
+        )
 
     def sampled_result(
         self,
@@ -622,7 +632,7 @@ class AppState:
         return self.explorer(dataset).explore(
             metric,
             min_support=support,
-            n_workers=workers if workers is not None else self.default_workers,
+            n_workers=self._n_workers(workers),
             sample=sample,
             confidence=confidence,
             sample_seed=self.seed,
@@ -646,7 +656,7 @@ class AppState:
         """
         key = (dataset, metric, support)
         with self._lock:
-            if key in self._refining or key in self._cache:
+            if key in self._refining or self.has_entry(*key):
                 return False
             self._refining.add(key)
 
@@ -658,9 +668,7 @@ class AppState:
                     self.explorer(dataset),
                     metric,
                     min_support=support,
-                    n_workers=(
-                        workers if workers is not None else self.default_workers
-                    ),
+                    n_workers=self._n_workers(workers),
                     cancel_token=self._refine_token,
                     stop_when_converged=False,
                 )
@@ -709,32 +717,19 @@ class AppState:
         render_key = (top, epsilon)
         registry = get_registry()
         with self._lock:
-            rows = entry.renders.get(render_key)
-            if rows is not None:
-                entry.renders.move_to_end(render_key)
-                registry.counter("app_cache.render_hits").inc()
-                return entry.result, rows
+            rows = entry.renders.touch(render_key)
+        if rows is not None:
+            registry.counter("app_cache.render_hits").inc()
+            return entry.result, rows
         registry.counter("app_cache.render_misses").inc()
         result = entry.result
         if epsilon is not None:
             records = prune_redundant(result, epsilon)[:top]
         else:
             records = result.top_k(top)
-        rows = [
-            {
-                "itemset": str(r.itemset),
-                "support": _json_safe(r.support),
-                "divergence": _json_safe(r.divergence),
-                "t": _json_safe(r.t_statistic),
-                "t_signed": _json_safe(r.t_signed),
-            }
-            for r in records
-        ]
+        rows = [_pattern_row(r) for r in records]
         with self._lock:
-            entry.renders[render_key] = rows
-            entry.renders.move_to_end(render_key)
-            while len(entry.renders) > _CachedExploration._MAX_RENDERS:
-                entry.renders.popitem(last=False)
+            rows = entry.renders.insert(render_key, rows)[0]
         return result, rows
 
 
@@ -796,14 +791,9 @@ class _MonitorSession:
         )
         return cls(dataset, metric, monitor)
 
-    def ingest(self, body: bytes) -> dict:
+    def ingest(self, body: str) -> dict:
         """Decode ``{"rows", "truth", "pred"}``, encode, ingest."""
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ReproError(f"ingest body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ReproError("ingest body must be a JSON object")
+        payload = _json_object(body, "ingest body")
         rows = payload.get("rows")
         truth = payload.get("truth")
         pred = payload.get("pred")
@@ -877,6 +867,28 @@ def retry_after_hint(
     return str(int(max(1, min(30, seconds))))
 
 
+def _pattern_row(record) -> dict:
+    """One ``/api/explore`` pattern row of a divergence record."""
+    return {
+        "itemset": str(record.itemset),
+        "support": record.support,
+        "divergence": record.divergence,
+        "t": record.t_statistic,
+        "t_signed": record.t_signed,
+    }
+
+
+def _json_object(text: str, what: str) -> dict:
+    """Parse a request body that must be one JSON object."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ReproError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ReproError(f"{what} must be a JSON object")
+    return payload
+
+
 def _json_safe(value: float) -> float | None:
     """``None`` for non-finite floats, the value otherwise.
 
@@ -899,12 +911,58 @@ def _sanitize(payload):
     field) produced them.
     """
     if isinstance(payload, float):
-        return payload if math.isfinite(payload) else None
+        return _json_safe(payload)
     if isinstance(payload, dict):
         return {k: _sanitize(v) for k, v in payload.items()}
     if isinstance(payload, (list, tuple)):
         return [_sanitize(v) for v in payload]
     return payload
+
+
+class _Route(NamedTuple):
+    """How the server answers one path."""
+
+    method: str
+    # Name of the _Handler method: ``(params) -> payload``, a dict sent
+    # as JSON or a str sent as HTML. Looked up per request, so a wrapped
+    # or patched method is the one that runs.
+    handler: str
+    # Cheap endpoints bypass admission control: health/UI, static
+    # characteristics, the metrics dashboard and the in-memory
+    # monitor/store reads must stay reachable when every mining slot
+    # is busy.
+    cheap: bool = False
+    # Eligible for the coarser-support fallback when the deadline
+    # expires mid-exploration.
+    degradable: bool = False
+
+
+# Every path the server answers. Paths outside this table are 404s
+# and aggregate as "other" in the per-endpoint metrics, so unknown
+# paths cannot grow the registry without bound.
+_ROUTES = {
+    "/": _Route("GET", "_index", cheap=True),
+    "/api/datasets": _Route("GET", "_datasets", cheap=True),
+    "/api/explore": _Route("GET", "_explore", degradable=True),
+    "/api/compare": _Route("GET", "_compare"),
+    "/api/rank": _Route("GET", "_rank"),
+    "/api/shapley": _Route("GET", "_shapley", degradable=True),
+    "/api/explain": _Route("GET", "_explain", degradable=True),
+    "/api/global": _Route("GET", "_global", degradable=True),
+    "/api/corrective": _Route("GET", "_corrective", degradable=True),
+    "/api/lattice": _Route("GET", "_lattice", degradable=True),
+    "/api/metrics": _Route("GET", "_metrics", cheap=True),
+    "/api/monitor/status": _Route("GET", "_monitor_status", cheap=True),
+    "/api/monitor/alerts": _Route("GET", "_monitor_alerts", cheap=True),
+    "/api/patterns": _Route("GET", "_patterns", cheap=True),
+    "/api/upload": _Route("POST", "_upload"),
+    "/api/monitor/ingest": _Route("POST", "_monitor_ingest"),
+    "/api/patterns/ack": _Route("POST", "_patterns_ack", cheap=True),
+}
+
+
+class _NotFound(Exception):
+    """An unknown path or resource; answered with ``404``."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -914,137 +972,84 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
 
-    # Endpoint names whitelisted for per-endpoint metrics; anything
-    # else aggregates under "other" so unknown paths cannot grow the
-    # registry without bound.
-    _KNOWN_PATHS = frozenset(
-        {
-            "/",
-            "/api/datasets",
-            "/api/explore",
-            "/api/compare",
-            "/api/rank",
-            "/api/shapley",
-            "/api/explain",
-            "/api/global",
-            "/api/corrective",
-            "/api/lattice",
-            "/api/metrics",
-            "/api/upload",
-            "/api/monitor/ingest",
-            "/api/monitor/status",
-            "/api/monitor/alerts",
-            "/api/patterns",
-            "/api/patterns/ack",
-        }
-    )
-
-    def _start_request(self, path: str) -> None:
-        self._obs_path = path if path in self._KNOWN_PATHS else "other"
-        self._obs_start = time.perf_counter()
-
-    def _record_request(self, status: int) -> None:
-        path = getattr(self, "_obs_path", None)
-        if path is None:
-            return
-        elapsed = time.perf_counter() - self._obs_start
-        registry = get_registry()
-        registry.counter(f"http.{path}.requests").inc()
-        registry.counter(f"http.{path}.status.{status}").inc()
-        registry.histogram(f"http.{path}.seconds").observe(elapsed)
-
-    # Endpoints cheap enough to bypass admission control: health/UI,
-    # static characteristics and the metrics dashboard must stay
-    # reachable even when every mining slot is busy.
-    # The pattern-store endpoints are in-memory reads/appends (no
-    # mining), so they stay reachable under full mining load too.
-    _CHEAP_PATHS = frozenset(
-        {
-            "/",
-            "/api/datasets",
-            "/api/metrics",
-            "/api/monitor/status",
-            "/api/monitor/alerts",
-            "/api/patterns",
-            "/api/patterns/ack",
-        }
-    )
-
-    # Endpoints eligible for degraded (coarser-support) fallback when
-    # their deadline expires mid-exploration.
-    _DEGRADABLE_PATHS = frozenset(
-        {
-            "/api/explore",
-            "/api/shapley",
-            "/api/explain",
-            "/api/global",
-            "/api/corrective",
-            "/api/lattice",
-        }
-    )
-
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._serve("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._serve("POST")
+
+    def _serve(self, method: str) -> None:
+        """Route one request and map every failure to one status.
+
+        Deadline → fallbacks or ``504``; cancellation → ``503``; unknown
+        path or resource → ``404``; :class:`ReproError` (bad input) →
+        ``400``; anything else → ``500``, logged with its traceback.
+        """
         parsed = urlparse(self.path)
+        path = parsed.path
         params = {k: v[0] for k, v in parse_qs(parsed.query).items()}
-        self._start_request(parsed.path)
+        route = _ROUTES.get(path)
+        self._obs_path = path if route is not None else "other"
+        self._obs_start = time.perf_counter()
+        self._responded = False
         deadline: float | None = None
         try:
-            deadline = self._deadline(params)
-            if not self._admit(parsed.path, deadline):
-                return  # shed: the 503 has already been sent
             try:
-                with cancel_scope(deadline=deadline):
-                    self._dispatch(parsed.path, params)
-            finally:
-                self._release()
-        except DeadlineExceeded as exc:
-            self._handle_deadline(exc, parsed.path, params, deadline)
+                deadline = self._deadline(params)
+                if route is None or route.method != method:
+                    raise _NotFound(f"unknown path {path}")
+                if not route.cheap and not self._admit(deadline):
+                    return  # shed: the 503 has already been sent
+                try:
+                    with cancel_scope(deadline=deadline):
+                        checkpoint("app.dispatch")
+                        payload = getattr(self, route.handler)(params)
+                finally:
+                    # The answer is computed: free the admission slot
+                    # before the reply is written, so the client's next
+                    # request finds it free.
+                    self._release()
+                if isinstance(payload, str):
+                    self._send_html(payload)
+                else:
+                    self._send_json(payload)
+            except DeadlineExceeded as exc:
+                self._handle_deadline(exc, path, params, deadline)
         except CancellationError as exc:
             # Cooperative cancellation that is not a deadline (token /
-            # fault injection). Must precede ReproError: cancellation is
-            # a service condition, not a client error.
+            # fault injection). Precedes ReproError: cancellation is a
+            # service condition, not a client error.
             get_registry().counter("resilience.cancelled").inc()
             self._send_json(
                 {"error": str(exc), "cancelled": True},
                 503,
                 headers=self._retry_after(deadline),
             )
+        except _NotFound as exc:
+            self._send_json({"error": str(exc)}, 404)
         except ReproError as exc:
             self._send_json({"error": str(exc)}, 400)
-        except (KeyError, ValueError) as exc:
-            self._send_json({"error": f"bad request: {exc}"}, 400)
+        except Exception as exc:
+            _LOG.exception("%s %s failed", method, path)
+            if not self._responded:
+                self._send_json(
+                    {"error": "internal error", "type": type(exc).__name__},
+                    500,
+                )
 
-    def _dispatch(self, path: str, params: dict[str, str]) -> None:
-        if path == "/":
-            self._send_html(_INDEX_HTML)
-        elif path == "/api/datasets":
-            self._send_json({"datasets": dataset_characteristics()})
-        elif path == "/api/explore":
-            self._send_json(self._explore(params))
-        elif path == "/api/compare":
-            self._send_json(self._compare(params))
-        elif path == "/api/rank":
-            self._send_json(self._rank(params))
-        elif path == "/api/shapley":
-            self._send_json(self._shapley(params))
-        elif path == "/api/explain":
-            self._send_json(self._explain(params))
-        elif path == "/api/global":
-            self._send_json(self._global(params))
-        elif path == "/api/corrective":
-            self._send_json(self._corrective(params))
-        elif path == "/api/lattice":
-            self._send_json(self._lattice(params))
-        elif path == "/api/metrics":
-            self._send_json(self._metrics())
-        elif path == "/api/monitor/status":
-            self._send_json(self._monitor_status())
-        elif path == "/api/monitor/alerts":
-            self._send_json(self._monitor_alerts(params))
-        elif path == "/api/patterns":
-            self._send_json(self._patterns(params))
-        else:
-            self._send_json({"error": f"unknown path {path}"}, 404)
+    def _body(self) -> str:
+        """The request body as text. A missing, non-integer or negative
+        ``Content-Length``, an empty body and bytes that are not UTF-8
+        are all ``400``s."""
+        length = validate_content_length(self.headers.get("Content-Length"))
+        return validate_utf8(self.rfile.read(length))
+
+    def _record_request(self, status: int) -> None:
+        elapsed = time.perf_counter() - self._obs_start
+        registry = get_registry()
+        registry.counter(f"http.{self._obs_path}.requests").inc()
+        registry.counter(f"http.{self._obs_path}.status.{status}").inc()
+        registry.histogram(f"http.{self._obs_path}.seconds").observe(elapsed)
 
     # -- resilience ----------------------------------------------------
 
@@ -1058,18 +1063,15 @@ class _Handler(BaseHTTPRequestHandler):
             return self._state.default_deadline
         return validate_deadline(raw)
 
-    def _admit(self, path: str, deadline: float | None = None) -> bool:
+    def _admit(self, deadline: float | None) -> bool:
         """Non-blocking admission for expensive endpoints.
 
         Returns ``False`` after sending ``503`` + ``Retry-After`` when
         every slot is busy (the request was shed); the header carries
         the computed backoff hint for the current load.
         """
-        self._admitted = False
-        if path in self._CHEAP_PATHS or path not in self._KNOWN_PATHS:
-            return True  # cheap or 404: no ticket needed
-        if self._state.admission.acquire(blocking=False):
-            self._admitted = True
+        self._admitted = self._state.admission.acquire(blocking=False)
+        if self._admitted:
             return True
         get_registry().counter("resilience.shed").inc()
         self._send_json(
@@ -1143,28 +1145,18 @@ class _Handler(BaseHTTPRequestHandler):
         if path != "/api/explore" or "sample" in params:
             return None
         try:
-            dataset, metric, support = self._config(params)
-            top = validate_top(params.get("top", "10"))
-            epsilon = self._epsilon(params)
-            workers = self._workers(params)
-            confidence = validate_confidence(params.get("confidence", "0.95"))
-        except (ReproError, ValueError):
-            return None
-        state = self._state
-        try:
-            explorer = state.explorer(dataset)
+            args = self._explore_args(params)
         except ReproError:
             return None
-        if explorer.table.n_rows < state.approx_auto_rows:
+        dataset, metric, support, _, _, workers, _ = args
+        state = self._state
+        if not state.auto_samples(dataset):
             return None
         budget = min(deadline if deadline is not None else 1.0, 1.0)
         try:
             with cancel_scope(deadline=budget):
-                payload = self._explore_sampled(
-                    dataset, metric, support, top, epsilon, "auto",
-                    confidence, workers,
-                )
-        except (CancellationError, ReproError, ValueError):
+                payload = self._explore_sampled(*args, "auto")
+        except ReproError:
             return None
         if payload is None:
             return None
@@ -1182,7 +1174,8 @@ class _Handler(BaseHTTPRequestHandler):
         the miners again. Returns ``None`` when nothing degradable is
         cached — the caller then sends the structured timeout.
         """
-        if path not in self._DEGRADABLE_PATHS:
+        route = _ROUTES.get(path)
+        if route is None or not route.degradable:
             return None
         try:
             dataset, metric, support = self._config(params)
@@ -1193,92 +1186,19 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         substituted = dict(params, support=repr(served))
         try:
-            payload = self._endpoint(path)(substituted)
-        except (ReproError, KeyError, ValueError):
+            payload = getattr(self, route.handler)(substituted)
+        except ReproError:
             return None
         payload["degraded"] = True
         payload["requested_support"] = support
         payload["served_support"] = served
         return payload
 
-    def _endpoint(self, path: str):
-        return {
-            "/api/explore": self._explore,
-            "/api/shapley": self._shapley,
-            "/api/explain": self._explain,
-            "/api/global": self._global,
-            "/api/corrective": self._corrective,
-            "/api/lattice": self._lattice,
-        }[path]
-
     # ------------------------------------------------------------------
 
     @property
     def _state(self) -> AppState:
         return self.server.app_state  # type: ignore[attr-defined]
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        parsed = urlparse(self.path)
-        params = {k: v[0] for k, v in parse_qs(parsed.query).items()}
-        self._start_request(parsed.path)
-        deadline: float | None = None
-        try:
-            deadline = self._deadline(params)
-            if not self._admit(parsed.path, deadline):
-                return  # shed: the 503 has already been sent
-            try:
-                if parsed.path == "/api/upload":
-                    length = int(self.headers.get("Content-Length", "0"))
-                    if length <= 0:
-                        raise ReproError("empty upload body")
-                    body = self.rfile.read(length).decode("utf-8")
-                    handle = self._state.register_upload(
-                        params.get("name", "data"),
-                        body,
-                        params.get("true_column", "class"),
-                        params.get("pred_column", "pred"),
-                        bins=int(params.get("bins", "3")),
-                    )
-                    self._send_json({"dataset": handle})
-                elif parsed.path == "/api/monitor/ingest":
-                    length = int(self.headers.get("Content-Length", "0"))
-                    if length <= 0:
-                        raise ReproError("empty ingest body")
-                    body_bytes = self.rfile.read(length)
-                    # Window re-mining runs inside the scope, so a slow
-                    # ingest aborts cooperatively at its checkpoints.
-                    with cancel_scope(deadline=deadline):
-                        self._send_json(
-                            self._state.monitor_ingest(params, body_bytes)
-                        )
-                elif parsed.path == "/api/patterns/ack":
-                    length = int(self.headers.get("Content-Length", "0"))
-                    if length <= 0:
-                        raise ReproError("empty ack body")
-                    self._patterns_ack(self.rfile.read(length))
-                else:
-                    self._send_json(
-                        {"error": f"unknown path {parsed.path}"}, 404
-                    )
-            finally:
-                self._release()
-        except DeadlineExceeded as exc:
-            get_registry().counter("resilience.timeouts").inc()
-            payload: dict = {"error": str(exc), "timeout": True}
-            if deadline is not None:
-                payload["deadline"] = deadline
-            self._send_json(payload, 504, headers=self._retry_after(deadline))
-        except CancellationError as exc:
-            get_registry().counter("resilience.cancelled").inc()
-            self._send_json(
-                {"error": str(exc), "cancelled": True},
-                503,
-                headers=self._retry_after(deadline),
-            )
-        except ReproError as exc:
-            self._send_json({"error": str(exc)}, 400)
-        except (KeyError, ValueError, UnicodeDecodeError) as exc:
-            self._send_json({"error": f"bad request: {exc}"}, 400)
 
     def _config(self, params: dict[str, str]) -> tuple[str, str, float]:
         dataset = params.get("dataset", "compas")
@@ -1305,40 +1225,69 @@ class _Handler(BaseHTTPRequestHandler):
             *self._config(params), workers=self._workers(params)
         )
 
+    def _index(self, params: dict[str, str]) -> str:
+        return _INDEX_HTML
+
+    def _datasets(self, params: dict[str, str]) -> dict:
+        return {"datasets": dataset_characteristics()}
+
+    def _upload(self, params: dict[str, str]) -> dict:
+        """Register a CSV upload (``POST /api/upload``)."""
+        bins = validate_bins(params.get("bins", "3"))
+        handle = self._state.register_upload(
+            params.get("name", "data"),
+            self._body(),
+            params.get("true_column", "class"),
+            params.get("pred_column", "pred"),
+            bins=bins,
+        )
+        return {"dataset": handle}
+
+    def _explore_args(self, params: dict[str, str]) -> tuple:
+        """``(dataset, metric, support, top, epsilon, workers,
+        confidence)`` of an ``/api/explore`` request."""
+        return (
+            *self._config(params),
+            validate_top(params.get("top", "10")),
+            self._epsilon(params),
+            self._workers(params),
+            validate_confidence(params.get("confidence", "0.95")),
+        )
+
     def _explore(self, params: dict[str, str]) -> dict:
-        dataset, metric, support = self._config(params)
-        top = validate_top(params.get("top", "10"))
-        epsilon = self._epsilon(params)
-        workers = self._workers(params)
+        args = self._explore_args(params)
+        dataset, metric, support, top, epsilon, workers, _ = args
         sample = validate_sample(params.get("sample"))
-        confidence = validate_confidence(params.get("confidence", "0.95"))
-        auto = False
-        if sample is None and self._should_auto_sample(
-            dataset, metric, support, params
-        ):
-            sample, auto = "auto", True
+        # Auto-sample pre-emptively only when the request carries a
+        # deadline (explicit or server default), no exact result is
+        # cached, and the dataset is large enough that exact mining
+        # plausibly cannot meet an interactive budget.
+        state = self._state
+        auto = (
+            sample is None
+            and self._deadline(params) is not None
+            and not state.has_entry(dataset, metric, support)
+            and state.auto_samples(dataset)
+        )
+        if auto:
+            sample = "auto"
         if sample is not None:
-            payload = self._explore_sampled(
-                dataset, metric, support, top, epsilon, sample, confidence,
-                workers,
-            )
+            payload = self._explore_sampled(*args, sample)
             if payload is not None:
                 if auto:
                     # The sampled answer is already on the wire's worth;
                     # refine to exact in the background so the next
                     # request is a plain cache hit.
-                    self._state.schedule_refinement(
-                        dataset, metric, support, workers
-                    )
+                    state.schedule_refinement(dataset, metric, support, workers)
                 return payload
             # The requested sample covers the dataset: fall through to
             # the exact path (and its cache) below.
-        result, rows = self._state.explore_rows(
+        result, rows = state.explore_rows(
             dataset, metric, support, top, epsilon, workers=workers,
         )
         return {
             "metric": result.metric,
-            "global_rate": _json_safe(result.global_rate),
+            "global_rate": result.global_rate,
             "n_patterns": len(result) - 1,
             "patterns": rows,
         }
@@ -1364,30 +1313,25 @@ class _Handler(BaseHTTPRequestHandler):
             dataset, metric, support, tuple(specs),
             workers=self._workers(params),
         )
-        models = []
-        for name in specs:
-            if name == baseline:
-                continue
-            models.append(
-                {
-                    "model": name,
-                    "shifts": [
-                        s.as_row()
-                        for s in comparison.shifts(
-                            name, baseline=baseline, k=top, min_t=min_t
-                        )
-                    ],
-                    "regressions": [
-                        s.as_row()
-                        for s in comparison.regressions(
-                            name,
-                            baseline=baseline,
-                            k=top,
-                            min_t=max(min_t, 2.0),
-                        )
-                    ],
-                }
-            )
+        models = [
+            {
+                "model": name,
+                "shifts": [
+                    s.as_row()
+                    for s in comparison.shifts(
+                        name, baseline=baseline, k=top, min_t=min_t
+                    )
+                ],
+                "regressions": [
+                    s.as_row()
+                    for s in comparison.regressions(
+                        name, baseline=baseline, k=top, min_t=max(min_t, 2.0)
+                    )
+                ],
+            }
+            for name in specs
+            if name != baseline
+        ]
         return {
             "dataset": dataset,
             "metric": metric,
@@ -1395,10 +1339,7 @@ class _Handler(BaseHTTPRequestHandler):
             "models": specs,
             "baseline": baseline,
             "n_patterns": comparison.n_patterns,
-            "global_rates": {
-                name: _json_safe(rate)
-                for name, rate in comparison.global_rates.items()
-            },
+            "global_rates": comparison.global_rates,
             "comparisons": models,
         }
 
@@ -1421,10 +1362,10 @@ class _Handler(BaseHTTPRequestHandler):
         rows = [
             {
                 "itemset": str(r.itemset),
-                "support": _json_safe(r.support),
-                "mean": _json_safe(r.mean),
-                "divergence": _json_safe(r.divergence),
-                "t": _json_safe(r.t_statistic),
+                "support": r.support,
+                "mean": r.mean,
+                "divergence": r.divergence,
+                "t": r.t_statistic,
             }
             for r in result.top_k(top, by="abs_divergence")
         ]
@@ -1434,7 +1375,7 @@ class _Handler(BaseHTTPRequestHandler):
             "metric": result.metric,
             "support": support,
             "rank_k": topk,
-            "global_mean": _json_safe(result.global_rate),
+            "global_mean": result.global_rate,
             "n_patterns": len(result) - 1,
             "patterns": rows,
         }
@@ -1446,9 +1387,9 @@ class _Handler(BaseHTTPRequestHandler):
         support: float,
         top: int,
         epsilon: float | None,
-        sample: float | int | str,
-        confidence: float,
         workers: int | None,
+        confidence: float,
+        sample: float | int | str,
     ) -> dict | None:
         """Sampled ``/api/explore`` payload with credible intervals.
 
@@ -1475,68 +1416,38 @@ class _Handler(BaseHTTPRequestHandler):
         for record, key, flag in zip(records, keys, stable):
             low, high = result.ci_for_key(key)
             rows.append(
-                {
-                    "itemset": str(record.itemset),
-                    "support": _json_safe(record.support),
-                    "divergence": _json_safe(record.divergence),
-                    "t": _json_safe(record.t_statistic),
-                    "t_signed": _json_safe(record.t_signed),
-                    "ci_low": _json_safe(low),
-                    "ci_high": _json_safe(high),
-                    "stable": bool(flag),
-                }
+                dict(
+                    _pattern_row(record),
+                    ci_low=low,
+                    ci_high=high,
+                    stable=bool(flag),
+                )
             )
         get_registry().counter("approx.served_sampled").inc()
         payload = {
             "metric": result.metric,
-            "global_rate": _json_safe(result.global_rate),
+            "global_rate": result.global_rate,
             "n_patterns": len(result) - 1,
             "patterns": rows,
         }
         payload.update(result.as_meta(top))
         return payload
 
-    def _should_auto_sample(
-        self,
-        dataset: str,
-        metric: str,
-        support: float,
-        params: dict[str, str],
-    ) -> bool:
-        """Pre-emptive auto-sampling decision for ``/api/explore``.
-
-        Only when the request carries a deadline (explicit or server
-        default), no exact result is cached for the key, and the
-        dataset is large enough (``approx_auto_rows``) that exact
-        mining plausibly cannot meet an interactive budget. Small
-        datasets keep the established exact/degrade/504 semantics.
-        """
-        state = self._state
-        if self._deadline(params) is None:
-            return False
-        if state.has_entry(dataset, metric, support):
-            return False
-        try:
-            explorer = state.explorer(dataset)
-        except ReproError:
-            return False  # let the exact path raise the clear 400
-        return explorer.table.n_rows >= state.approx_auto_rows
-
     def _explain(self, params: dict[str, str]) -> dict:
-        result = self._result(params)
         top = validate_top(params.get("top", "5"))
         epsilon = self._epsilon(params)
+        result = self._result(params)
         table = explain_top_k(result, k=top, epsilon=epsilon)
         return {
             "metric": result.metric,
             "patterns": [
                 {
                     "itemset": str(entry["itemset"]),
-                    "divergence": _json_safe(entry["divergence"]),
-                    "support": _json_safe(entry["support"]),
-                    "t": _json_safe(entry["t_statistic"]),
+                    "divergence": entry["divergence"],
+                    "support": entry["support"],
+                    "t": entry["t_statistic"],
                     "contributions": [
-                        {"item": str(item), "value": _json_safe(value)}
+                        {"item": str(item), "value": value}
                         for item, value in sorted(
                             entry["contributions"].items(),
                             key=lambda kv: -abs(kv[1]),
@@ -1549,14 +1460,14 @@ class _Handler(BaseHTTPRequestHandler):
         }
 
     def _shapley(self, params: dict[str, str]) -> dict:
+        pattern = validate_pattern(params.get("pattern"))
         result = self._result(params)
-        pattern = Itemset.parse(params["pattern"])
         contributions = result.shapley(pattern)
         return {
             "pattern": str(pattern),
-            "divergence": _json_safe(result.divergence_of(pattern)),
+            "divergence": result.divergence_of(pattern),
             "contributions": [
-                {"item": str(item), "value": _json_safe(value)}
+                {"item": str(item), "value": value}
                 for item, value in sorted(
                     contributions.items(), key=lambda kv: -abs(kv[1])
                 )
@@ -1564,18 +1475,16 @@ class _Handler(BaseHTTPRequestHandler):
         }
 
     def _global(self, params: dict[str, str]) -> dict:
-        result = self._result(params)
         top = validate_top(params.get("top", "12"))
+        result = self._result(params)
         global_div = global_item_divergence(result)
         individual = individual_item_divergence(result)
         return {
             "items": [
                 {
                     "item": str(item),
-                    "global": _json_safe(value),
-                    "individual": _json_safe(
-                        individual.get(item, float("nan"))
-                    ),
+                    "global": value,
+                    "individual": individual.get(item, float("nan")),
                 }
                 for item, value in sorted(
                     global_div.items(), key=lambda kv: -kv[1]
@@ -1584,33 +1493,35 @@ class _Handler(BaseHTTPRequestHandler):
         }
 
     def _corrective(self, params: dict[str, str]) -> dict:
-        result = self._result(params)
         top = validate_top(params.get("top", "10"))
+        result = self._result(params)
         return {
             "corrective": [
                 {
                     "base": str(c.base),
                     "item": str(c.item),
-                    "base_divergence": _json_safe(c.base_divergence),
-                    "corrected_divergence": _json_safe(c.corrected_divergence),
-                    "factor": _json_safe(c.corrective_factor),
-                    "t": _json_safe(c.t_statistic),
+                    "base_divergence": c.base_divergence,
+                    "corrected_divergence": c.corrected_divergence,
+                    "factor": c.corrective_factor,
+                    "t": c.t_statistic,
                 }
                 for c in find_corrective_items(result, k=top)
             ]
         }
 
     def _lattice(self, params: dict[str, str]) -> dict:
+        pattern = validate_pattern(params.get("pattern"))
+        threshold = validate_divergence_threshold(
+            params.get("threshold", "0.15")
+        )
         result = self._result(params)
-        pattern = Itemset.parse(params["pattern"])
-        threshold = float(params.get("threshold", "0.15"))
         lattice = result.lattice(pattern)
         nodes = [
             {
                 "itemset": str(node),
                 "length": len(node),
-                "divergence": _json_safe(data["divergence"]),
-                "support": _json_safe(data["support"]),
+                "divergence": data["divergence"],
+                "support": data["support"],
                 "corrective": data["corrective"],
                 "divergent": (
                     not math.isnan(data["divergence"])
@@ -1623,13 +1534,18 @@ class _Handler(BaseHTTPRequestHandler):
             {
                 "parent": str(parent),
                 "child": str(child),
-                "delta": _json_safe(data["delta"]),
+                "delta": data["delta"],
             }
             for parent, child, data in lattice.graph.edges(data=True)
         ]
         return {"pattern": str(pattern), "nodes": nodes, "edges": edges}
 
-    def _monitor_status(self) -> dict:
+    def _monitor_ingest(self, params: dict[str, str]) -> dict:
+        """Feed one JSON batch (``POST /api/monitor/ingest``)."""
+        body = self._body()
+        return self._state.monitor_session(params, create=True).ingest(body)
+
+    def _monitor_status(self, params: dict[str, str]) -> dict:
         """Snapshot of the streaming monitor (``/api/monitor/status``)."""
         session = self._state.monitor_session({})
         if session is None:
@@ -1649,12 +1565,7 @@ class _Handler(BaseHTTPRequestHandler):
         ingest appending mid-serialization must not skew ``next``
         against the entries actually returned.
         """
-        try:
-            since = int(params.get("since", "0"))
-        except ValueError:
-            raise ReproError(
-                f"since must be an integer, got {params.get('since')!r}"
-            ) from None
+        since = validate_since(params.get("since", "0"))
         offset = validate_offset(params.get("offset"))
         limit = validate_limit(params.get("limit"))
         session = self._state.monitor_session({})
@@ -1689,43 +1600,24 @@ class _Handler(BaseHTTPRequestHandler):
             return {"store": False, "total": 0, "patterns": []}
         offset = validate_offset(params.get("offset"))
         limit = validate_limit(params.get("limit"))
-        acked: bool | None = None
-        raw_acked = params.get("acked")
-        if raw_acked is not None:
-            lowered = raw_acked.strip().lower()
-            if lowered in ("true", "1"):
-                acked = True
-            elif lowered in ("false", "0"):
-                acked = False
-            else:
-                raise ReproError(
-                    f"acked must be true or false, got {raw_acked!r}"
-                )
         min_divergence = None
         if "min_divergence" in params:
             min_divergence = validate_alert_threshold(
                 params["min_divergence"]
             )
-        since_window = None
-        raw_since = params.get("since_window")
-        if raw_since is not None:
-            try:
-                since_window = int(raw_since)
-            except ValueError:
-                raise ReproError(
-                    f"since_window must be an integer, got {raw_since!r}"
-                ) from None
         payload = store.query(
             offset=offset,
             limit=limit,
-            acked=acked,
+            acked=validate_acked(params.get("acked")),
             min_divergence=min_divergence,
-            since_window=since_window,
+            since_window=validate_since(
+                params.get("since_window"), "since_window"
+            ),
         )
         payload["store"] = True
         return payload
 
-    def _patterns_ack(self, body: bytes) -> None:
+    def _patterns_ack(self, params: dict[str, str]) -> dict:
         """Acknowledgement toggle (``POST /api/patterns/ack``).
 
         Body: ``{"items": [...], "acked": bool?, "note": str?}`` where
@@ -1739,13 +1631,8 @@ class _Handler(BaseHTTPRequestHandler):
                 "no pattern store configured (start the server with "
                 "--store PATH)"
             )
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ReproError(f"ack body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("items"), list
-        ):
+        payload = _json_object(self._body(), "ack body")
+        if not isinstance(payload.get("items"), list):
             raise ReproError(
                 "ack body must be an object with an 'items' list of "
                 "item ids"
@@ -1763,14 +1650,11 @@ class _Handler(BaseHTTPRequestHandler):
         if note is not None and not isinstance(note, str):
             raise ReproError(f"note must be a string, got {note!r}")
         if store.entry(key) is None:
-            self._send_json(
-                {"error": f"unknown pattern key {sorted(key)}"}, 404
-            )
-            return
+            raise _NotFound(f"unknown pattern key {sorted(key)}")
         entry = store.ack(key, acked=acked, note=note)
-        self._send_json({"acked": acked, "pattern": entry})
+        return {"acked": acked, "pattern": entry}
 
-    def _metrics(self) -> dict:
+    def _metrics(self, params: dict[str, str]) -> dict:
         """Process-wide observability snapshot (``/api/metrics``).
 
         Counters include mining-cache and app-cache hit/monotone-hit/
@@ -1779,8 +1663,8 @@ class _Handler(BaseHTTPRequestHandler):
         """
         state = self._state
         snapshot = get_registry().snapshot()
+        snapshot["gauges"].update(state._cache.gauges())
         with state._lock:
-            snapshot["gauges"]["app_cache.entries"] = float(len(state._cache))
             snapshot["gauges"]["app_state.explorers"] = float(
                 len(state._explorers)
             )
@@ -1798,27 +1682,27 @@ class _Handler(BaseHTTPRequestHandler):
         # response may carry bare Infinity/NaN tokens (invalid JSON),
         # and allow_nan=False turns any miss into a loud failure.
         body = json.dumps(_sanitize(payload), allow_nan=False).encode()
-        # The answer is computed: free the admission slot before the
-        # client can read the reply, so its next request finds it free.
-        self._release()
+        self._send(body, "application/json", status, headers)
+
+    def _send_html(self, html: str) -> None:
+        self._send(html.encode(), "text/html; charset=utf-8")
+
+    def _send(
+        self,
+        body: bytes,
+        content_type: str,
+        status: int = 200,
+        headers: dict[str, str] | None = None,
+    ) -> None:
+        self._responded = True
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
         self._record_request(status)
-
-    def _send_html(self, html: str) -> None:
-        body = html.encode()
-        self._release()
-        self.send_response(200)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self._record_request(200)
 
 
 class _AppServer(ThreadingHTTPServer):
@@ -1857,8 +1741,8 @@ def create_server(
     """Create (but do not start) the exploration server.
 
     ``port=0`` picks a free port; read it back from
-    ``server.server_address``. ``max_results`` bounds the LRU result
-    cache. ``default_deadline`` (seconds) applies to every request that
+    ``server.server_address``. ``max_results`` bounds all cached
+    results together. ``default_deadline`` (seconds) applies to every request that
     does not set its own via the ``deadline`` query parameter or
     ``X-Deadline`` header; ``max_concurrent`` bounds simultaneously
     admitted expensive requests (excess load is shed with ``503``).

@@ -45,6 +45,7 @@ from repro.obs import render_profile, span
 from repro.params import (
     validate_alert_threshold,
     validate_batch_size,
+    validate_bins,
     validate_confidence,
     validate_deadline,
     validate_epsilon,
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--true-column", default="class")
         p.add_argument("--pred-column", default="pred")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--bins", type=int, default=3,
+        p.add_argument("--bins", type=_arg(validate_bins), default=3,
                        help="quantile bins for CSV continuous columns")
 
     def add_explore_args(p: argparse.ArgumentParser) -> None:

@@ -19,6 +19,22 @@ from repro.fpm.transactions import TransactionDataset, exact_bincount
 from repro.resilience import checkpoint
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _int64_sums(values: list[int]) -> np.ndarray:
+    """Exact Python-int sums as int64, wrapped mod 2**64.
+
+    The other backends sum channels in int64, which wraps; a sum that
+    leaves the int64 range must wrap here too, not raise.
+    """
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        wrapped = [v & _MASK64 for v in values]
+        return np.array(wrapped, dtype=np.uint64).view(np.int64)
+
+
 class _Node:
     """One FP-tree node: an item, vector counts, children and a parent link."""
 
@@ -167,7 +183,7 @@ class FPGrowthMiner(Miner):
             if totals[0] < min_count:
                 continue
             new_suffix = suffix + [item]
-            out[frozenset(new_suffix)] = np.asarray(totals, dtype=np.int64)
+            out[frozenset(new_suffix)] = _int64_sums(totals)
             if max_length is not None and len(new_suffix) >= max_length:
                 continue
             cond = _FPTree(tree.width)
@@ -212,4 +228,4 @@ class FPGrowthMiner(Miner):
             members = [frequent[b] for b in range(n_path) if mask >> b & 1]
             deepest = members[-1][1]
             key = frozenset(suffix + [item for item, _ in members])
-            out[key] = np.asarray(deepest, dtype=np.int64)
+            out[key] = _int64_sums(deepest)

@@ -15,20 +15,27 @@ import math
 from repro.exceptions import ReproError
 
 __all__ = [
+    "validate_acked",
     "validate_alert_threshold",
     "validate_batch_size",
+    "validate_bins",
     "validate_confidence",
+    "validate_content_length",
     "validate_deadline",
+    "validate_divergence_threshold",
     "validate_epsilon",
     "validate_limit",
     "validate_min_t",
     "validate_models",
     "validate_offset",
+    "validate_pattern",
     "validate_rank_k",
     "validate_sample",
+    "validate_since",
     "validate_step",
     "validate_support",
     "validate_top",
+    "validate_utf8",
     "validate_weight_model",
     "validate_window",
     "validate_workers",
@@ -334,3 +341,89 @@ def validate_rank_k(value: int | str | None) -> int | None:
     if k < 1:
         raise ReproError(f"rank k must be >= 1, got {value!r}")
     return k
+
+
+def validate_bins(value: int | str) -> int:
+    """Coerce and check a quantile bin count for continuous columns:
+    ``bins >= 2`` (one bin would make the column a constant)."""
+    return _validate_positive_int(value, "bins", 2)
+
+
+def validate_since(value: int | str | None, name: str = "since") -> int | None:
+    """Coerce and check a resume point: an integer ``>= 0``.
+
+    Used for the alert log's ``since`` (a sequence number) and the
+    pattern ledger's ``since_window`` (a window index); ``name`` labels
+    the error. ``None`` means the parameter is absent.
+    """
+    if value is None:
+        return None
+    return _validate_positive_int(value, name, 0)
+
+
+def validate_divergence_threshold(value: float | str) -> float:
+    """Coerce and check a divergence threshold: any finite number.
+
+    Divergence is signed, so negative thresholds are meaningful.
+    """
+    try:
+        threshold = float(value)
+    except (TypeError, ValueError):
+        raise ReproError(
+            f"threshold must be a number, got {value!r}"
+        ) from None
+    if not math.isfinite(threshold):
+        raise ReproError(f"threshold must be finite, got {value!r}")
+    return threshold
+
+
+def validate_acked(value: str | None) -> bool | None:
+    """Coerce an acknowledgement filter: ``true``/``1`` or ``false``/``0``.
+
+    ``None`` means the parameter is absent (no filter).
+    """
+    if value is None:
+        return None
+    lowered = str(value).strip().lower()
+    if lowered in ("true", "1"):
+        return True
+    if lowered in ("false", "0"):
+        return False
+    raise ReproError(f"acked must be true or false, got {value!r}")
+
+
+def validate_pattern(value: str | None):
+    """Parse a required pattern such as ``race=Caucasian, sex=Male``.
+
+    Returns the :class:`~repro.core.items.Itemset`; a missing or blank
+    value and an item without ``=`` are rejected.
+    """
+    from repro.core.items import Itemset
+
+    if value is None or not value.strip():
+        raise ReproError(
+            "pattern parameter is required, e.g. pattern=sex=Male"
+        )
+    return Itemset.parse(value)
+
+
+def validate_content_length(value: str | None) -> int:
+    """Coerce and check a request's ``Content-Length``: a non-empty body.
+
+    A missing header, a non-integer or negative length and an empty
+    body are rejected before any byte of the body is read.
+    """
+    if value is None:
+        raise ReproError("request needs a Content-Length header")
+    length = _validate_positive_int(value, "Content-Length", 0)
+    if length == 0:
+        raise ReproError("request body is empty")
+    return length
+
+
+def validate_utf8(body: bytes) -> str:
+    """Decode a request body, which must be UTF-8 text."""
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReproError(f"request body is not UTF-8: {exc}") from None

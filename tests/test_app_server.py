@@ -243,7 +243,7 @@ class TestCaching:
         assert state.result("compas", "fpr", 0.2) is r1
         state.result("compas", "error", 0.2)  # evicts the fnr entry
         assert len(state._cache) == 2
-        assert ("compas", "fnr", 0.2) not in state._cache
+        assert ("explore", "compas", "fnr", 0.2) not in state._cache
         assert state.result("compas", "fpr", 0.2) is r1
 
     def test_explore_rows_render_cache(self):

@@ -37,9 +37,6 @@ from repro.tabular.table import Table
 CATALOG = ItemCatalog(["a", "b", "c"], [[0, 1, 2], [0, 1], [0, 1, 2, 3]])
 SERIAL = ("bitset", "eclat", "apriori", "bruteforce", "fpgrowth")
 CHANNEL_KINDS = ("binary", "topk", "exposure", "score", "headroom", "full")
-# FP-growth sums in Python integers, so it only takes channels whose
-# sums fit int64 without wrapping.
-WRAPPING = ("full",)
 
 
 def duplicate_rows(rng, n_rows: int, n_distinct: int) -> np.ndarray:
@@ -105,11 +102,28 @@ class TestCompressedEqualsUncompressed:
 
         want = mine(plain, "bruteforce")
         for algorithm in SERIAL:
-            if algorithm == "fpgrowth" and kind in WRAPPING:
-                continue
             assert_same_table(mine(compressed, algorithm), want)
             assert_same_table(mine(plain, algorithm), want)
         assert_same_table(mine(compressed, n_workers=2), want)
+
+    def test_sum_past_int64_wraps_in_every_backend(self):
+        # 2**62 + 2**62 + 5 leaves int64: every backend wraps it mod 2**64.
+        matrix = np.zeros((3, 3), dtype=np.int64)
+        channels = np.array([[2**62], [2**62], [5]], dtype=np.int64)
+        wrapped = 2**63 + 5 - 2**64
+        for dataset in (
+            TransactionDataset(matrix, CATALOG, channels),
+            ItemLayer(matrix, CATALOG, group=True).dataset(channels),
+        ):
+            tables = [
+                mine_frequent(dataset, 0.5, algorithm=algorithm)
+                for algorithm in SERIAL
+            ]
+            tables.append(mine_frequent(dataset, 0.5, n_workers=2))
+            for table in tables:
+                assert len(table) == 8  # every subset of {a=0, b=0, c=0}
+                for key in table:
+                    assert table.counts(key).tolist() == [3, wrapped], key
 
 
 class TestExactSums:
