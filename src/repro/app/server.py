@@ -67,6 +67,7 @@ from repro.params import (
     validate_deadline,
     validate_divergence_threshold,
     validate_epsilon,
+    validate_labels,
     validate_limit,
     validate_min_t,
     validate_models,
@@ -795,12 +796,10 @@ class _MonitorSession:
         """Decode ``{"rows", "truth", "pred"}``, encode, ingest."""
         payload = _json_object(body, "ingest body")
         rows = payload.get("rows")
-        truth = payload.get("truth")
-        pred = payload.get("pred")
         if not isinstance(rows, list) or not rows:
             raise ReproError("ingest body needs a non-empty 'rows' list")
-        if not isinstance(truth, list) or not isinstance(pred, list):
-            raise ReproError("ingest body needs 'truth' and 'pred' lists")
+        truth = validate_labels(payload.get("truth"), "truth")
+        pred = validate_labels(payload.get("pred"), "pred")
         if len(truth) != len(rows) or len(pred) != len(rows):
             raise ReproError(
                 f"'rows' ({len(rows)}), 'truth' ({len(truth)}) and "

@@ -74,7 +74,6 @@ class ApproxResult(PatternDivergenceResult):
         self.sample_seed = sample_seed
         self.rounds = rounds
         self._ci: tuple[np.ndarray, np.ndarray] | None = None
-        self._row_index: dict[frozenset[int], int] | None = None
 
     @property
     def sample_rows(self) -> int:
@@ -127,15 +126,12 @@ class ApproxResult(PatternDivergenceResult):
             self._ci = (center - half, center + half)
         return self._ci
 
-    def _rows_of(self, keys: Sequence[frozenset[int]]) -> list[int]:
-        if self._row_index is None:
-            self._row_index = {key: i for i, key in enumerate(self._keys)}
-        try:
-            return [self._row_index[key] for key in keys]
-        except KeyError as exc:
-            raise ReproError(
-                f"pattern {set(exc.args[0])} is not in the sampled table"
-            ) from None
+    def _rows_of(self, keys: Sequence[frozenset[int]]) -> np.ndarray:
+        rows = self.frequent.rows_of(keys)
+        if (rows < 0).any():
+            missing = keys[int(np.argmax(rows < 0))]
+            raise ReproError(f"pattern {set(missing)} is not in the sampled table")
+        return rows
 
     def ci_for_key(self, key: frozenset[int]) -> tuple[float, float]:
         """``(ci_low, ci_high)`` of one pattern by internal key."""

@@ -312,20 +312,15 @@ class _AlignedPair(NamedTuple):
 def _aligned_pair(
     result_a: PatternDivergenceResult, result_b: PatternDivergenceResult
 ) -> _AlignedPair:
-    """Align B's table to A's through the lattice indexes.
+    """Align B's table to A's through B's key-to-row lookup.
 
     One batched ``searchsorted`` resolves every A-key in B (the mapping
-    is the identity when both results share a lattice index, as
-    shared-mine siblings do); the complement of the matched B rows is
-    the B-only side.
+    is the identity when both tables share their keys, as shared-mine
+    siblings do); the complement of the matched B rows is the B-only
+    side.
     """
-    index_a = result_a.lattice_index()
-    index_b = result_b.lattice_index()
-    if index_a is index_b:
-        rows_b_of_a = np.arange(index_a.n_table_rows, dtype=np.int64)
-    else:
-        rows_b_of_a = index_b.rows_of_padded(index_b.pad_keys(index_a._padded))
-    nonempty_a = index_a.lengths > 0
+    rows_b_of_a = result_b.frequent.rows_in(result_a.frequent)
+    nonempty_a = result_a.length_vector() > 0
     matched = rows_b_of_a >= 0
 
     div_a_all = result_a.divergence_vector()
@@ -353,9 +348,9 @@ def _aligned_pair(
 
     only_a_rows = np.flatnonzero(nonempty_a & ~matched)
     only_a_rows = only_a_rows[~np.isnan(div_a_all[only_a_rows])]
-    matched_b = np.zeros(index_b.n_table_rows, dtype=bool)
+    matched_b = np.zeros(len(result_b), dtype=bool)
     matched_b[rows_b_of_a[matched]] = True
-    only_b_rows = np.flatnonzero(~matched_b & (index_b.lengths > 0))
+    only_b_rows = np.flatnonzero(~matched_b & (result_b.length_vector() > 0))
     only_b_rows = only_b_rows[~np.isnan(div_b_all[only_b_rows])]
 
     return _AlignedPair(
@@ -370,7 +365,7 @@ def _one_sided_shift(
     div = float(result.divergence_vector()[row])
     rate = float(result._rates[row])
     return PatternShift(
-        itemset=result.itemset_of(result._keys[row]),
+        itemset=result.itemset_of(result.frequent.key_at(row)),
         divergence_a=div if in_a else _NAN,
         divergence_b=_NAN if in_a else div,
         rate_a=rate if in_a else _NAN,
@@ -388,7 +383,7 @@ def _two_sided_shift(
     j: int,
 ) -> PatternShift:
     return PatternShift(
-        itemset=result_a.itemset_of(result_a._keys[int(pair.a_rows[j])]),
+        itemset=result_a.itemset_of(result_a.frequent.key_at(int(pair.a_rows[j]))),
         divergence_a=float(pair.div_a[j]),
         divergence_b=float(pair.div_b[j]),
         rate_a=float(pair.rate_a[j]),
@@ -487,10 +482,10 @@ def regressions(
 def delta_columns(
     result_a: PatternDivergenceResult, result_b: PatternDivergenceResult
 ) -> dict[str, np.ndarray]:
-    """The full vectorized delta table, aligned with A's lattice rows.
+    """The full vectorized delta table, aligned with A's table rows.
 
     Returns parallel float64 arrays — one entry per row of
-    ``result_a.lattice_index()`` — named ``divergence_a``,
+    ``result_a.frequent`` — named ``divergence_a``,
     ``divergence_b``, ``shift``, ``rate_a``, ``rate_b``, ``t`` (signed
     Welch) and ``delta_divergence``, plus the int64 ``row_b`` mapping
     into B's table (``-1`` where the pattern is not frequent under B).
@@ -499,7 +494,7 @@ def delta_columns(
     """
     _check_compatible(result_a, result_b)
     pair = _aligned_pair(result_a, result_b)
-    n = result_a.lattice_index().n_table_rows
+    n = len(result_a)
     columns: dict[str, np.ndarray] = {
         name: np.full(n, _NAN)
         for name in (
@@ -562,24 +557,20 @@ def _stack_channels(
 
 
 def _model_counts(
-    keys: list,
-    matrix: np.ndarray,
-    model_index: int,
-    layout: _ChannelLayout,
-    n_rows: int,
-    min_support: float,
+    frequent: FrequentItemsets, model_index: int, layout: _ChannelLayout
 ) -> FrequentItemsets:
     """Slice one model's ``[n, T, F]`` table out of the shared counts."""
+    matrix = frequent.count_matrix
     if layout.kind == "paired":
         t_col = 1 + 2 * model_index
-        triples = np.ascontiguousarray(matrix[:, [0, t_col, t_col + 1]])
+        triples = matrix[:, [0, t_col, t_col + 1]]
     else:
         n_col = matrix[:, 0]
         t = matrix[:, 1 + model_index]
         bottom = matrix[:, 1 + layout.n_models] if layout.has_bottom else 0
         # T, F and ⊥ partition each itemset's coverage, so F is exact.
         triples = np.column_stack([n_col, t, n_col - t - bottom])
-    return FrequentItemsets(dict(zip(keys, triples)), n_rows, min_support)
+    return frequent.with_counts(triples)
 
 
 class CompareResult:
@@ -813,13 +804,9 @@ def explore_compare(
                 n_workers=n_workers,
             )
             checkpoint("compare.result")
-            keys, matrix = frequent.count_table()
             results: dict[str, PatternDivergenceResult] = {}
             for index, name in enumerate(names):
-                per_model = _model_counts(
-                    keys, matrix, index, layout,
-                    frequent.n_rows, frequent.min_support,
-                )
+                per_model = _model_counts(frequent, index, layout)
                 results[name] = PatternDivergenceResult(
                     per_model, explorer.catalog, metric, min_support
                 )

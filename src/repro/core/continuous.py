@@ -201,7 +201,11 @@ class ContinuousDivergenceResult:
 
     def record_for_key(self, key: frozenset[int]) -> ContinuousPatternRecord:
         """Full statistics of one frequent subgroup."""
-        counts = self.frequent.counts(key)
+        return self._record(key, self.frequent.counts(key))
+
+    def _record(
+        self, key: frozenset[int], counts: np.ndarray
+    ) -> ContinuousPatternRecord:
         n = int(counts[0])
         mean = counts[1] / _SCALE / n
         variance = max(counts[2] / _SCALE / n - mean**2, 0.0)
@@ -229,7 +233,9 @@ class ContinuousDivergenceResult:
               ) -> list[ContinuousPatternRecord]:
         """Top-k subgroups by (signed) divergence."""
         records = [
-            self.record_for_key(key) for key in self.frequent if len(key) > 0
+            self._record(key, counts)
+            for key, counts in self.frequent.items()
+            if len(key) > 0
         ]
         records.sort(key=lambda r: r.divergence, reverse=not ascending)
         return records[:k]

@@ -117,10 +117,9 @@ def find_corrective_items(
             denom == 0.0, np.where(diff > 0.0, np.inf, 0.0), diff / denom
         )
 
-    keys = result._keys
     found = [
         CorrectiveItem(
-            base=result.itemset_of(keys[int(parents[t])]),
+            base=result.itemset_of(result.frequent.key_at(int(parents[t]))),
             item=result.item_of(int(index.items_flat[t])),
             base_divergence=float(parent_div[t]),
             corrected_divergence=float(d_row[t]),

@@ -11,10 +11,10 @@ of patterns.
 :class:`LatticeIndex` pays that cost once, columnar-style: every frequent
 itemset becomes a row of packed numpy arrays (CSR item lists, lengths,
 precomputed Eq. 8 weights) and the parent relation becomes one int array
-``parent_rows`` aligned with the flattened item lists. The index is built
-in a single vectorized pass: keys are padded into a fixed-width id-sorted
-matrix, viewed as raw bytes, sorted once, and every candidate parent is
-resolved with one batched ``searchsorted`` — no per-key hashing at all.
+``parent_rows`` aligned with the flattened item lists. The item lists
+are read straight off the table's canonical key matrix (ids ascending,
+zero-padded), and every candidate parent is resolved through batched
+calls of the table's own key-to-row lookup — no per-key hashing at all.
 Downstream, each analysis is a handful of gathers/scatters over these
 arrays (see ``global_divergence``, ``pruning``, ``corrective``,
 ``shapley``).
@@ -31,24 +31,19 @@ from math import factorial
 
 import numpy as np
 
+from repro.fpm.miner import ItemsetKeys, pack_keys
 from repro.fpm.transactions import ItemCatalog
 from repro.obs import get_registry, span
 from repro.resilience import checkpoint
 
-# Sentinel used while sorting padded rows: real entries are ``id + 1``
-# (> 0) and padding is 0, so anything above every real id works.
-_PAD_SENTINEL = np.uint32(0xFFFFFFFF)
 
-
-def _void_view(padded: np.ndarray) -> np.ndarray:
-    """View a ``(M, L) uint32`` row matrix as M opaque fixed-size blobs.
-
-    Void scalars compare bytewise, which gives a total order consistent
-    between ``argsort`` and ``searchsorted`` — exactly what exact-match
-    row lookup needs.
-    """
-    a = np.ascontiguousarray(padded)
-    return a.view(np.dtype((np.void, a.shape[1] * a.dtype.itemsize))).ravel()
+def subset_id_rows(item_ids: Sequence[int]) -> np.ndarray:
+    """``(2^n, n)`` rows of every subset of ``item_ids``, in bitmask
+    order: entry ``[m, b]`` is ``item_ids[b] + 1`` if bit b of m is set,
+    else 0."""
+    ids = np.asarray(item_ids, dtype=np.uint32) + 1
+    bits = (np.arange(1 << ids.size)[:, None] >> np.arange(ids.size)) & 1
+    return np.where(bits.astype(bool), ids[None, :], np.uint32(0))
 
 
 class LatticeIndex:
@@ -66,79 +61,53 @@ class LatticeIndex:
     - ``weights``: ``(N,)`` Eq. 8 weight ``w(K)`` — the term every
       ``α ∈ K`` contributes to global item divergence is
       ``w(K)·[Δ(K) − Δ(K \\ α)]``. Zero for the empty row.
+
+    ``table`` is a :class:`~repro.fpm.miner.FrequentItemsets` (or any
+    :class:`~repro.fpm.miner.ItemsetKeys`) or a sequence of item-id sets.
     """
 
-    def __init__(self, keys: Sequence[frozenset[int]], catalog: ItemCatalog) -> None:
+    def __init__(self, table: ItemsetKeys | Sequence, catalog: ItemCatalog) -> None:
+        if not isinstance(table, ItemsetKeys):
+            table = ItemsetKeys(pack_keys(table))
+        self.table = table
         with span("lattice_index.build") as build_span:
-            self._build(keys, catalog)
+            self._build(catalog)
         build_span.count("rows", self.n_table_rows)
 
-    def _build(
-        self, keys: Sequence[frozenset[int]], catalog: ItemCatalog
-    ) -> None:
+    def _build(self, catalog: ItemCatalog) -> None:
         checkpoint("lattice_index.build")
+        keys = self.table.keys
         n = len(keys)
         self.n_table_rows = n
-        self.lengths = np.fromiter(
-            (len(k) for k in keys), dtype=np.int64, count=n
-        )
+        self.width = keys.shape[1]
+        self.lengths = self.table.lengths
         self.items_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.lengths, out=self.items_ptr[1:])
-        nnz = int(self.items_ptr[-1])
-        flat = np.fromiter(
-            (i for key in keys for i in key), dtype=np.int64, count=nnz
-        )
+        # Row-major order of the nonzero entries: rows stay contiguous
+        # and ids ascend within each row.
+        self.items_flat = keys[keys > 0].astype(np.int64) - 1
         self.row_of_entry = np.repeat(np.arange(n, dtype=np.int64), self.lengths)
-        # Sort item ids within each row (frozenset iteration order is
-        # arbitrary); rows stay contiguous because the row is the
-        # primary key.
-        order = np.lexsort((flat, self.row_of_entry))
-        self.items_flat = flat[order]
-
-        # Fixed-width padded key matrix: entries are id + 1, ascending,
-        # zero-padded on the right, so each row has one canonical byte
-        # representation.
-        self.width = max(1, int(self.lengths.max(initial=0)))
-        padded = np.zeros((n, self.width), dtype=np.uint32)
-        pos_in_row = np.arange(nnz, dtype=np.int64) - self.items_ptr[
-            self.row_of_entry
-        ]
-        padded[self.row_of_entry, pos_in_row] = self.items_flat.astype(
-            np.uint32
-        ) + 1
-        self._padded = padded
-        blobs = _void_view(padded)
-        self._blob_order = np.argsort(blobs)
-        self._blobs_sorted = blobs[self._blob_order]
-
-        self.parent_rows = self._resolve_parents(padded)
+        self.parent_rows = self._resolve_parents(keys)
         self.weights = self._eq8_weights(catalog)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    def _resolve_parents(self, padded: np.ndarray) -> np.ndarray:
-        """Row index of every immediate subset, one searchsorted batch
-        per (length, deleted position) group."""
+    def _resolve_parents(self, keys: np.ndarray) -> np.ndarray:
+        """Row index of every immediate subset, one lookup batch per
+        deleted key column."""
         parent_rows = np.full(int(self.items_ptr[-1]), -1, dtype=np.int64)
-        width = self.width
-        for k in range(1, width + 1):
-            rows_k = np.nonzero(self.lengths == k)[0]
-            if rows_k.size == 0:
-                continue
-            sub = padded[rows_k]
-            zero_col = np.zeros((rows_k.size, 1), dtype=np.uint32)
-            for j in range(k):
-                # One abort check per searchsorted batch keeps index
-                # construction on huge tables deadline-responsive.
-                checkpoint("lattice_index.parents")
-                candidate = np.concatenate(
-                    [sub[:, :j], sub[:, j + 1 :], zero_col], axis=1
-                )
-                parent_rows[self.items_ptr[rows_k] + j] = self.rows_of_padded(
-                    candidate
-                )
+        zero_col = np.zeros((len(keys), 1), dtype=np.uint32)
+        for j in range(self.width):
+            # One abort check per batch keeps index construction on
+            # huge tables deadline-responsive.
+            checkpoint("lattice_index.parents")
+            rows = np.flatnonzero(self.lengths > j)
+            candidate = np.concatenate(
+                [keys[rows, :j], keys[rows, j + 1 :], zero_col[rows]], axis=1
+            )
+            parent_rows[self.items_ptr[rows] + j] = self.rows_of_padded(candidate)
         return parent_rows
 
     def _eq8_weights(self, catalog: ItemCatalog) -> np.ndarray:
@@ -172,39 +141,23 @@ class LatticeIndex:
     # lookups
     # ------------------------------------------------------------------
 
-    def rows_of_padded(self, padded: np.ndarray) -> np.ndarray:
-        """Table rows of padded query keys (``-1`` where absent).
+    @property
+    def _padded(self) -> np.ndarray:
+        """The table's canonical ``(N, L)`` key matrix."""
+        return self.table.keys
 
-        Queries must use the canonical padding: entries ``id + 1``
-        ascending, zeros on the right, width :attr:`width`.
-        """
+    def rows_of_padded(self, padded: np.ndarray) -> np.ndarray:
+        """Table rows of canonical ``(M, L)`` query keys (``-1`` where
+        absent), through the table's lookup."""
         registry = get_registry()
         registry.counter("lattice_index.lookups").inc()
         registry.counter("lattice_index.keys_looked_up").inc(len(padded))
-        queries = _void_view(padded.astype(np.uint32, copy=False))
-        pos = np.searchsorted(self._blobs_sorted, queries)
-        pos_c = np.minimum(pos, len(self._blobs_sorted) - 1)
-        hit = self._blobs_sorted[pos_c] == queries
-        return np.where(hit, self._blob_order[pos_c], -1)
+        return self.table.rows_of_padded(padded)
 
     def pad_keys(self, id_rows: np.ndarray) -> np.ndarray:
-        """Canonicalize a ``(M, n)`` matrix of ``id + 1`` entries (zeros
-        marking gaps, any order) into padded query rows."""
-        m, n = id_rows.shape
-        # Sorting with zeros mapped to a sentinel pushes the padding to
-        # the right while keeping real ids ascending.
-        work = np.where(id_rows == 0, _PAD_SENTINEL, id_rows.astype(np.uint32))
-        work.sort(axis=1)
-        work[work == _PAD_SENTINEL] = 0
-        if n <= self.width:
-            out = np.zeros((m, self.width), dtype=np.uint32)
-            out[:, :n] = work
-            return out
-        # Keys wider than anything in the table cannot match; replace
-        # them with an all-sentinel canary row so the lookup misses.
-        out = work[:, : self.width].copy()
-        out[work[:, self.width :].any(axis=1)] = _PAD_SENTINEL
-        return out
+        """Canonical query rows of ``id + 1`` entries in any order (see
+        :meth:`~repro.fpm.miner.ItemsetKeys.pad_keys`)."""
+        return self.table.pad_keys(id_rows)
 
     def subset_rows(self, item_ids: Sequence[int]) -> np.ndarray:
         """Table row of every subset of ``item_ids``, in bitmask order.
@@ -214,12 +167,7 @@ class LatticeIndex:
         resolution step behind batched Shapley and the lattice view:
         one lookup resolves all ``2^n`` subsets.
         """
-        ids = np.asarray(item_ids, dtype=np.uint32) + 1
-        n = ids.size
-        masks = np.arange(1 << n, dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
-        vals = np.where(bits.astype(bool), ids[None, :], np.uint32(0))
-        return self.rows_of_padded(self.pad_keys(vals))
+        return self.rows_of_padded(self.pad_keys(subset_id_rows(item_ids)))
 
     def __repr__(self) -> str:
         return (

@@ -24,7 +24,7 @@ from repro.core.divergence import DivergenceExplorer
 from repro.core.outcomes import outcome_channels
 from repro.core.result import PatternDivergenceResult
 from repro.exceptions import ReproError
-from repro.fpm.miner import FrequentItemsets, mine_frequent
+from repro.fpm.miner import mine_frequent
 
 
 def explore_multi(
@@ -68,30 +68,15 @@ def explore_multi(
         dataset, min_support, algorithm=algorithm, max_length=max_length
     )
 
-    keys, matrix = frequent.count_table()
-    results: dict[str, PatternDivergenceResult] = {}
-    for index, metric in enumerate(metrics):
-        per_metric = _slice_channels(frequent, index, keys, matrix)
-        results[metric] = PatternDivergenceResult(
-            per_metric, explorer.catalog, metric, min_support
+    # Each metric's (n, T, F) columns, gathered from the shared count
+    # matrix; the keys and their lookup are shared, not copied.
+    return {
+        metric: PatternDivergenceResult(
+            frequent.with_counts(frequent.count_matrix[:, [0, 1 + 2 * i, 2 + 2 * i]]),
+            explorer.catalog,
+            metric,
+            min_support,
         )
-    return results
+        for i, metric in enumerate(metrics)
+    }
 
-
-def _slice_channels(
-    frequent: FrequentItemsets,
-    metric_index: int,
-    keys: list | None = None,
-    matrix: np.ndarray | None = None,
-) -> FrequentItemsets:
-    """Project a stacked count table onto one metric's (n, T, F) triple.
-
-    The projection is one column gather over the shared count matrix;
-    the per-key triples are row views into it, not per-key allocations.
-    """
-    if keys is None or matrix is None:
-        keys, matrix = frequent.count_table()
-    t_col = 1 + 2 * metric_index
-    triples = np.ascontiguousarray(matrix[:, [0, t_col, t_col + 1]])
-    counts = dict(zip(keys, triples))
-    return FrequentItemsets(counts, frequent.n_rows, frequent.min_support)

@@ -5,8 +5,10 @@ produced by Algorithm 1 and exposes every analysis of the paper —
 ranked divergent patterns with significance, Shapley contributions,
 global/individual item divergence, corrective items, redundancy pruning
 and lattice construction — as methods. Itemsets cross the API boundary
-as readable :class:`~repro.core.items.Itemset` objects; internally they
-are frozensets of integer item ids.
+as readable :class:`~repro.core.items.Itemset` objects; internally a
+pattern is a row of the mined :class:`~repro.fpm.miner.FrequentItemsets`
+table, and a point lookup by item-id set goes through that table's
+key-to-row index.
 """
 
 from __future__ import annotations
@@ -19,10 +21,7 @@ import numpy as np
 
 from repro.core.items import Item, Itemset
 from repro.core.outcomes import positive_rate
-from repro.core.significance import (
-    divergence_t_statistic_signed,
-    divergence_t_statistics,
-)
+from repro.core.significance import divergence_t_statistics
 from repro.exceptions import ReproError
 from repro.fpm.miner import FrequentItemsets
 from repro.fpm.transactions import ItemCatalog
@@ -88,24 +87,10 @@ class PatternDivergenceResult:
         self.t_total = int(totals[1])
         self.f_total = int(totals[2])
         self.global_rate = positive_rate(self.t_total, self.f_total)
-        # The whole count table as one (N, 3) matrix, in iteration
-        # order; every per-pattern statistic is a single vectorized
-        # expression over its columns.
-        # All count vectors of one mining run share a length, so one
-        # concatenate + reshape assembles the matrix far faster than
-        # np.asarray over per-key row slices.
-        self._keys: list[frozenset[int]] = []
-        vectors = []
-        for key, counts in frequent.items():
-            self._keys.append(key)
-            vectors.append(counts)
-        self._count_matrix = (
-            np.concatenate(vectors)
-            .astype(np.int64, copy=False)
-            .reshape(len(self._keys), -1)[:, :3]
-            if vectors
-            else np.empty((0, 3), dtype=np.int64)
-        )
+        # The (N, 3) [n, T, F] columns of the table, in row order; every
+        # per-pattern statistic is a single vectorized expression over
+        # them.
+        self._count_matrix = frequent.count_matrix[:, :3]
         self._records: list[PatternRecord] | None = None
         self._records_nonempty: list[PatternRecord] | None = None
         # Columnar caches for the vectorized analytics: the structural
@@ -113,7 +98,6 @@ class PatternDivergenceResult:
         self._lattice_index = None
         self._t_stats: np.ndarray | None = None
         self._t_stats_signed: np.ndarray | None = None
-        self._lengths: np.ndarray | None = None
         self._derive_statistics()
 
     def _derive_statistics(self) -> None:
@@ -122,7 +106,7 @@ class PatternDivergenceResult:
         Subclasses for other outcome families (e.g. the rank-divergence
         table, whose channels are fixed-point moment sums rather than
         Boolean outcome counts) override this single hook; the count
-        matrix, key list and every downstream lattice analysis stay
+        matrix, the key table and every downstream lattice analysis stay
         shared.
         """
         t_col = self._count_matrix[:, 1].astype(np.float64)
@@ -131,30 +115,25 @@ class PatternDivergenceResult:
         with np.errstate(divide="ignore", invalid="ignore"):
             rates = np.where(denom > 0, t_col / denom, np.nan)
         self._rates = rates
-        divergences = rates - self.global_rate
-        self._div_vector: np.ndarray | None = divergences
-        self._div_vector_source: object = None
+        self._div_vector = rates - self.global_rate
+
+    @property
+    def _keys(self) -> list[frozenset[int]]:
+        """Every row's key as a ``frozenset``, made per call."""
+        return list(self.frequent)
 
     @property
     def _divergence(self) -> dict[frozenset[int], float]:
-        """key -> divergence for all itemsets, built lazily.
-
-        The vectorized analytics only need :attr:`_div_vector`; the
-        dict exists for the map-keyed accessors and is derived from the
-        vector on first use. Assigning a replacement map (model
-        comparison tooling, tests) is honored: ``divergence_vector``
-        re-derives the vector from the substituted map.
-        """
-        mapping = self.__dict__.get("_divergence_map")
-        if mapping is None:
-            mapping = dict(zip(self._keys, self._div_vector.tolist()))
-            self.__dict__["_divergence_map"] = mapping
-            self._div_vector_source = mapping
-        return mapping
+        """:attr:`divergence_map`. Assigning a key -> divergence map
+        replaces the divergence of every row (NaN where it has none)."""
+        return self.divergence_map
 
     @_divergence.setter
     def _divergence(self, mapping: dict[frozenset[int], float]) -> None:
-        self.__dict__["_divergence_map"] = mapping
+        rows = self.frequent.rows_of(mapping)
+        values = np.fromiter(mapping.values(), np.float64, len(mapping))
+        self._div_vector = np.full(len(self), np.nan)
+        self._div_vector[rows[rows >= 0]] = values[rows >= 0]
 
     # ------------------------------------------------------------------
     # itemset translation
@@ -186,23 +165,10 @@ class PatternDivergenceResult:
 
     def record_for_key(self, key: frozenset[int]) -> PatternRecord:
         """Build the full statistics record of one internal key."""
-        counts = self.frequent.counts(key)
-        n, t, f = int(counts[0]), int(counts[1]), int(counts[2])
-        rate = positive_rate(t, f)
-        t_signed = divergence_t_statistic_signed(
-            t, f, self.t_total, self.f_total
-        )
-        return PatternRecord(
-            itemset=self.itemset_of(key),
-            support=n / self.n_rows,
-            support_count=n,
-            t_count=t,
-            f_count=f,
-            rate=rate,
-            divergence=rate - self.global_rate,
-            t_statistic=abs(t_signed),
-            t_signed=t_signed,
-        )
+        row = self.row_of_key(key)
+        if row < 0:
+            self.frequent.counts(key)  # raises the canonical lookup error
+        return self._records_at(np.array([row]))[0]
 
     def record(self, itemset: Itemset) -> PatternRecord:
         """Statistics of one pattern (raises if not frequent)."""
@@ -214,12 +180,12 @@ class PatternDivergenceResult:
 
     def divergence_of_key(self, key: frozenset[int]) -> float:
         """``Δ_f`` by internal key."""
-        try:
-            return self._divergence[frozenset(key)]
-        except KeyError:
+        row = self.row_of_key(key)
+        if row < 0:
             raise ReproError(
                 f"pattern {set(key)} is not frequent at support {self.min_support}"
-            ) from None
+            )
+        return float(self.divergence_vector()[row])
 
     def divergence_or_zero(self, key: frozenset[int]) -> float:
         """``Δ_f`` treating undefined (all-BOTTOM) rates as no divergence.
@@ -227,15 +193,16 @@ class PatternDivergenceResult:
         Used by the Shapley-style aggregations, where a NaN from an
         all-BOTTOM subset would otherwise poison every sum it enters.
         """
-        value = self._divergence.get(frozenset(key))
-        if value is None or math.isnan(value):
+        row = self.row_of_key(key)
+        if row < 0:
             return 0.0
-        return value
+        value = float(self.divergence_vector()[row])
+        return 0.0 if math.isnan(value) else value
 
     @property
     def divergence_map(self) -> dict[frozenset[int], float]:
-        """Read-only view of key -> divergence for all frequent itemsets."""
-        return dict(self._divergence)
+        """Key -> divergence for all frequent itemsets, built per call."""
+        return dict(zip(self.frequent, self.divergence_vector().tolist()))
 
     # ------------------------------------------------------------------
     # columnar access (the vectorized analytics engine)
@@ -251,35 +218,22 @@ class PatternDivergenceResult:
         if self._lattice_index is None:
             from repro.core.lattice_index import LatticeIndex
 
-            self._lattice_index = LatticeIndex(self._keys, self.catalog)
+            self._lattice_index = LatticeIndex(self.frequent, self.catalog)
         return self._lattice_index
 
     def divergence_vector(self, zero_nan: bool = False) -> np.ndarray:
         """``Δ_f`` per table row, aligned with :meth:`lattice_index` rows.
 
         With ``zero_nan`` undefined (all-BOTTOM) divergences become 0,
-        mirroring :meth:`divergence_or_zero`. The vector tracks
-        :attr:`divergence_map`, so results whose map was substituted
-        stay consistent.
+        mirroring :meth:`divergence_or_zero`.
         """
-        mapping = self.__dict__.get("_divergence_map")
-        if mapping is not None and self._div_vector_source is not mapping:
-            nan = float("nan")
-            self._div_vector = np.fromiter(
-                (mapping.get(key, nan) for key in self._keys),
-                dtype=np.float64,
-                count=len(self._keys),
-            )
-            self._div_vector_source = mapping
         if zero_nan:
             return np.nan_to_num(self._div_vector, nan=0.0)
         return self._div_vector
 
     def row_of_key(self, key: frozenset[int]) -> int:
         """Table row index of an internal key (``-1`` when not frequent)."""
-        index = self.lattice_index()
-        ids = np.asarray(sorted(key), dtype=np.uint32) + 1
-        return int(index.rows_of_padded(index.pad_keys(ids[None, :]))[0])
+        return self.frequent.row_of(key)
 
     # ------------------------------------------------------------------
     # the ranked pattern table
@@ -304,59 +258,45 @@ class PatternDivergenceResult:
             self._t_stats = np.abs(self._t_stats_signed)
         return self._t_stats_signed if signed else self._t_stats
 
-    def _record_for_row(self, row: int) -> PatternRecord:
-        """Materialize one row's record from the columnar statistics."""
+    def _records_at(self, rows: np.ndarray) -> list[PatternRecord]:
+        """Records of table ``rows``, read off the columnar statistics.
+
+        Subclasses for other outcome families override this one hook.
+        """
         counts = self._count_matrix
-        return PatternRecord(
-            itemset=self.itemset_of(self._keys[row]),
-            support=counts[row, 0] / self.n_rows,
-            support_count=int(counts[row, 0]),
-            t_count=int(counts[row, 1]),
-            f_count=int(counts[row, 2]),
-            rate=self._rates[row],
-            divergence=self._rates[row] - self.global_rate,
-            t_statistic=self.t_statistics_vector()[row],
-            t_signed=self.t_statistics_vector(signed=True)[row],
-        )
+        t_stats = self.t_statistics_vector()
+        t_signed = self.t_statistics_vector(signed=True)
+        return [
+            PatternRecord(
+                itemset=self.itemset_of(key),
+                support=counts[row, 0] / self.n_rows,
+                support_count=int(counts[row, 0]),
+                t_count=int(counts[row, 1]),
+                f_count=int(counts[row, 2]),
+                rate=self._rates[row],
+                divergence=self._rates[row] - self.global_rate,
+                t_statistic=t_stats[row],
+                t_signed=t_signed[row],
+            )
+            for row, key in zip(rows.tolist(), self.frequent.keys_at(rows))
+        ]
 
     def records_for_rows(self, rows: Iterable[int]) -> list[PatternRecord]:
         """Records of specific table rows, reusing the full cache when
         it exists and materializing only the requested rows otherwise."""
         if self._records is not None:
             return [self._records[row] for row in rows]
-        return [self._record_for_row(int(row)) for row in rows]
+        return self._records_at(np.fromiter(rows, dtype=np.int64))
 
     def records(self, include_empty: bool = False) -> list[PatternRecord]:
         """All frequent patterns as records (cached).
 
-        The numeric columns (support, rate, divergence, t-statistic) are
-        computed for the whole table in single vectorized expressions;
-        only the readable itemset decoding remains per-row. Both views
-        (with and without the empty pattern) are materialized once.
-        The ranked views (``top_k``, ``significant``) never call this:
-        they build records only for the rows they return.
+        Both views (with and without the empty pattern) are materialized
+        once. The ranked views (``top_k``, ``significant``) never call
+        this: they build records only for the rows they return.
         """
         if self._records is None:
-            counts = self._count_matrix
-            n_col, t_col, f_col = counts[:, 0], counts[:, 1], counts[:, 2]
-            supports = n_col / self.n_rows
-            divergences = self._rates - self.global_rate
-            t_stats = self.t_statistics_vector()
-            t_signed = self.t_statistics_vector(signed=True)
-            self._records = [
-                PatternRecord(
-                    itemset=self.itemset_of(key),
-                    support=supports[i],
-                    support_count=int(n_col[i]),
-                    t_count=int(t_col[i]),
-                    f_count=int(f_col[i]),
-                    rate=self._rates[i],
-                    divergence=divergences[i],
-                    t_statistic=t_stats[i],
-                    t_signed=t_signed[i],
-                )
-                for i, key in enumerate(self._keys)
-            ]
+            self._records = self._records_at(np.arange(len(self)))
             self._records_nonempty = [
                 r for r in self._records if len(r.itemset) > 0
             ]
@@ -366,11 +306,7 @@ class PatternDivergenceResult:
 
     def length_vector(self) -> np.ndarray:
         """Itemset length per table row (computed once, cached)."""
-        if self._lengths is None:
-            self._lengths = np.fromiter(
-                map(len, self._keys), dtype=np.int64, count=len(self._keys)
-            )
-        return self._lengths
+        return self.frequent.lengths
 
     def statistic_vector(self, by: str) -> np.ndarray:
         """Per-row values of a ranking statistic (a ``top_k`` ``by`` key).
@@ -458,7 +394,7 @@ class PatternDivergenceResult:
         read from the columns without building records.
         """
         rows = np.flatnonzero(self.length_vector() > 0)
-        keys = [self._keys[row] for row in rows.tolist()]
+        keys = self.frequent.keys_at(rows)
         return [
             (key, str(self.itemset_of(key)), divergence, support, t_signed)
             for key, divergence, support, t_signed in zip(
@@ -528,11 +464,8 @@ class PatternDivergenceResult:
 
     def frequent_items(self) -> list[Item]:
         """All single items that are frequent, in catalog order."""
-        out = []
-        for item_id in range(self.catalog.n_items):
-            if frozenset((item_id,)) in self.frequent:
-                out.append(self.item_of(item_id))
-        return out
+        singles = self.frequent.keys[self.length_vector() == 1, 0]
+        return [self.item_of(int(i) - 1) for i in np.sort(singles)]
 
     def __repr__(self) -> str:
         return (

@@ -27,6 +27,7 @@ from math import factorial
 import numpy as np
 
 from repro.core.items import Item, Itemset
+from repro.core.lattice_index import subset_id_rows
 from repro.core.result import PatternDivergenceResult
 from repro.exceptions import ReproError
 from repro.obs import span
@@ -64,15 +65,7 @@ def shapley_batch(
             for it in itemset.items
         ]
         id_lists.append(ids)
-        n = len(ids)
-        masks = np.arange(1 << n, dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(
-            bool
-        )
-        vals = np.where(
-            bits, np.asarray(ids, dtype=np.uint32)[None, :] + 1, np.uint32(0)
-        )
-        blocks.append(index.pad_keys(vals))
+        blocks.append(index.pad_keys(subset_id_rows(ids)))
 
     if not blocks:
         return []

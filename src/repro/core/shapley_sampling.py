@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.items import Item, Itemset
+from repro.core.lattice_index import subset_id_rows
 from repro.core.result import PatternDivergenceResult
 from repro.exceptions import ReproError
 
@@ -59,21 +60,26 @@ def shapley_contributions_sampled(
 
         return shapley_contributions(result, itemset)
 
+    # Every prefix of every permutation is a subset of ``ids``: resolve
+    # all 2^n of them in one lookup (entry m is the subset of bitmask m).
+    table = result.frequent
+    rows = table.rows_of_padded(table.pad_keys(subset_id_rows(ids)))
+    sub_div = np.where(
+        rows >= 0, result.divergence_vector(zero_nan=True)[rows], 0.0
+    ).tolist()
     rng = np.random.default_rng(seed)
-    totals = {item_id: 0.0 for item_id in ids}
+    totals = [0.0] * n
     for _ in range(n_samples):
-        order = rng.permutation(n)
-        prefix: set[int] = set()
+        mask = 0
         prev_div = 0.0  # divergence of the empty pattern
-        for position in order:
-            item_id = ids[position]
-            prefix.add(item_id)
-            current = result.divergence_or_zero(frozenset(prefix))
-            totals[item_id] += current - prev_div
+        for position in rng.permutation(n).tolist():
+            mask |= 1 << position
+            current = sub_div[mask]
+            totals[position] += current - prev_div
             prev_div = current
     return {
         result.item_of(item_id): total / n_samples
-        for item_id, total in totals.items()
+        for item_id, total in zip(ids, totals)
     }
 
 

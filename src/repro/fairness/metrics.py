@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.divergence import DivergenceExplorer
 from repro.core.items import Itemset
 from repro.core.multi import explore_multi
@@ -105,13 +107,15 @@ def fairness_audit(
     predr, tpr, fpr = (results[m] for m in _METRICS)
     overall_predr = predr.global_rate
 
+    # The three tables share one mined key table, so row r is the same
+    # subgroup in each.
+    rows = np.flatnonzero(predr.length_vector() > 0)
     records: list[FairnessRecord] = []
-    for key in predr.frequent:
-        if len(key) == 0:
-            continue
-        rec_p = predr.record_for_key(key)
-        rec_t = tpr.record_for_key(key)
-        rec_f = fpr.record_for_key(key)
+    for rec_p, rec_t, rec_f in zip(
+        predr.records_for_rows(rows),
+        tpr.records_for_rows(rows),
+        fpr.records_for_rows(rows),
+    ):
         spd = rec_p.divergence
         di = (
             rec_p.rate / overall_predr

@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fpm import transactions
-from repro.fpm.miner import FrequentItemsets, ItemsetKey, Miner
+from repro.fpm.miner import FrequentItemsets, Miner
 from repro.fpm.transactions import (
     _HAS_BITWISE_COUNT,
     ItemCatalog,
@@ -159,24 +159,17 @@ class BitsetMiner(Miner):
         support_of = support_kernel(dataset)
 
         def record(keys: np.ndarray, coverage: np.ndarray, supports):
-            # [support, channel sums...] per node, keyed by item set.
+            # [support, channel sums...] per node, row-aligned with keys.
             sums = sums_of(coverage)
             if offset:
                 sums = add_offsets(sums, supports, vmin)
-            counts = np.concatenate([supports[:, None], sums], axis=1)
-            out.update(zip(map(frozenset, keys.tolist()), counts))
+            levels.append(
+                (keys, np.concatenate([supports[:, None], sums], axis=1))
+            )
 
-        all_rows = _as_words(
-            np.packbits(np.ones((1, dataset.n_physical), dtype=bool), axis=1)
-        )
-        out: dict[ItemsetKey, np.ndarray] = {}
-        record(
-            np.empty((1, 0), dtype=np.uint32),
-            all_rows,
-            np.array([n], dtype=np.int64),
-        )
+        levels = [(np.empty((1, 0), dtype=np.uint32), dataset.totals()[None, :])]
         if max_length == 0:
-            return FrequentItemsets(out, n, min_support)
+            return FrequentItemsets.from_levels(levels, n, min_support)
 
         supports = support_of(item_bitmaps)
         frequent = supports >= min_count
@@ -259,7 +252,7 @@ class BitsetMiner(Miner):
             )
             record(child_keys, child[:filled], child_sup[:filled])
             push(child_keys, child[:filled], group_ends(parent))
-        return FrequentItemsets(out, n, min_support)
+        return FrequentItemsets.from_levels(levels, n, min_support)
 
 
 class EclatMiner(BitsetMiner):

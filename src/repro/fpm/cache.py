@@ -193,15 +193,15 @@ def _filter(
     min_support: float,
     max_length: int | None,
 ) -> FrequentItemsets:
-    """Project a cached run onto a smaller (support, length) space."""
+    """Project a cached run onto a smaller (support, length) space: one
+    mask over the support column and the key lengths."""
     min_count = Miner._validate(dataset, min_support, max_length)
-    counts = {
-        key: vec
-        for key, vec in cached.items()
-        if (len(key) == 0)
-        or (
-            int(vec[0]) >= min_count
-            and (max_length is None or len(key) <= max_length)
-        )
-    }
-    return FrequentItemsets(counts, cached.n_rows, min_support)
+    lengths = cached.lengths
+    keep = cached.count_matrix[:, 0] >= min_count
+    if max_length is not None:
+        keep &= lengths <= max_length
+    keep |= lengths == 0
+    width = max(1, int(lengths[keep].max()))
+    return FrequentItemsets.from_arrays(
+        cached.keys[keep, :width], cached.count_matrix[keep], cached.n_rows, min_support
+    )

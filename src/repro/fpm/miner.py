@@ -1,16 +1,28 @@
-"""Common mining interface and the frequent-itemset result container.
+"""Common mining interface and the frequent-itemset table.
 
 Every miner maps a :class:`~repro.fpm.transactions.TransactionDataset`
 and a minimum support to a :class:`FrequentItemsets` table: for each
-frequent itemset (a ``frozenset`` of item ids) it records the vector
-``[support_count, channel_1_sum, ..., channel_k_sum]``. The empty
-itemset is always present and holds the dataset-wide totals, which is
-what divergence is measured against.
+frequent itemset it records the vector ``[support_count, channel_1_sum,
+..., channel_k_sum]``. The empty itemset is always present and holds the
+dataset-wide totals, which is what divergence is measured against.
+
+The table is columnar and keeps no Python object per itemset:
+
+- ``keys``, an ``(N, L)`` uint32 matrix with one itemset per row: item
+  id + 1, ascending, zero-padded on the right (``L >= 1``). Each
+  itemset has exactly one such row, so rows compare as opaque blobs.
+- ``count_matrix``, the row-aligned ``(N, 1 + k)`` int64 counts.
+
+Point lookups go through one key-to-row index (the key rows viewed as
+sorted blobs, one batched ``searchsorted``), built on the first lookup.
+``frozenset`` keys exist only at the API edge: iteration, :meth:`items`
+and :meth:`count_table` make them on demand and keep none.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+import copy
+from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -21,15 +33,135 @@ from repro.resilience import checkpoint
 
 ItemsetKey = frozenset[int]
 
+# Real key entries are ``id + 1`` in ``[1, _PAD_SENTINEL)``; padding is 0.
+# A query row of sentinels never matches a table row.
+_PAD_SENTINEL = np.uint32(0xFFFFFFFF)
+_MAX_ID = int(_PAD_SENTINEL) - 1
 
-class FrequentItemsets:
+
+def _void_view(padded: np.ndarray) -> np.ndarray:
+    """View an ``(M, L) uint32`` row matrix as M opaque fixed-size blobs.
+
+    Void scalars compare bytewise, which gives a total order consistent
+    between ``argsort`` and ``searchsorted`` — exactly what exact-match
+    row lookup needs.
+    """
+    a = np.ascontiguousarray(padded, dtype=np.uint32)
+    return a.view(np.dtype((np.void, a.shape[1] * a.dtype.itemsize))).ravel()
+
+
+def pack_keys(itemsets: Iterable[Iterable[int]]) -> np.ndarray:
+    """Canonical ``(M, W) uint32`` key rows of item-id collections.
+
+    ``W`` is the longest itemset (at least 1). Ids may come in any order
+    and repeat. An itemset holding an id outside ``[0, 2**32 - 2)``
+    cannot be in any table; its row is all sentinels.
+    """
+    sets = [sorted(set(s)) for s in itemsets]
+    width = max(1, max(map(len, sets), default=0))
+    # Padding -1 becomes 0 after the shift to id + 1.
+    keys = np.array([s + [-1] * (width - len(s)) for s in sets], dtype=np.int64)
+    keys = keys.reshape(len(sets), width) + 1
+    bad = [i for i, s in enumerate(sets) if s and (s[0] < 0 or s[-1] >= _MAX_ID)]
+    keys[bad] = _PAD_SENTINEL
+    return keys.astype(np.uint32)
+
+
+class ItemsetKeys:
+    """The key column of an itemset table and its key-to-row lookup.
+
+    ``keys`` is the canonical ``(N, L)`` uint32 key matrix (see the
+    module docstring); ``lengths`` the itemset length per row.
+    """
+
+    def __init__(self, keys: np.ndarray) -> None:
+        self.keys = keys
+        self.lengths = np.count_nonzero(keys, axis=1)
+        # (row order, sorted key blobs), built on the first lookup.
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def max_length(self) -> int:
+        """Length of the longest itemset."""
+        return int(self.lengths.max(initial=0))
+
+    def pad_keys(self, id_rows: np.ndarray) -> np.ndarray:
+        """Canonicalize a ``(M, n)`` matrix of ``id + 1`` entries (zeros
+        marking gaps, any order) into ``(M, L)`` query rows."""
+        # Sorting with zeros mapped to a sentinel pushes the padding to
+        # the right while keeping real ids ascending.
+        work = np.where(id_rows == 0, _PAD_SENTINEL, id_rows.astype(np.uint32))
+        work.sort(axis=1)
+        work[work == _PAD_SENTINEL] = 0
+        return self._fit(work)
+
+    def _fit(self, rows: np.ndarray) -> np.ndarray:
+        """Canonical rows at width ``L``; rows wider than every key in
+        the table become sentinel rows, which never match."""
+        (m, n), width = rows.shape, self.keys.shape[1]
+        if n <= width:
+            out = np.zeros((m, width), dtype=np.uint32)
+            out[:, :n] = rows
+            return out
+        out = rows[:, :width].copy()
+        out[rows[:, width:].any(axis=1)] = _PAD_SENTINEL
+        return out
+
+    def rows_of_padded(self, padded: np.ndarray) -> np.ndarray:
+        """Rows of canonical ``(M, L)`` query rows (``-1`` when absent)."""
+        if self._sorted is None:
+            blobs = _void_view(self.keys)
+            order = np.argsort(blobs)
+            self._sorted = order, blobs[order]
+        order, blobs = self._sorted
+        queries = _void_view(padded)
+        pos = np.minimum(np.searchsorted(blobs, queries), len(blobs) - 1)
+        return np.where(blobs[pos] == queries, order[pos], -1)
+
+    def rows_of(self, itemsets: Iterable[Iterable[int]]) -> np.ndarray:
+        """Row of each itemset, ids in any order (``-1`` when absent)."""
+        return self.rows_of_padded(self._fit(pack_keys(itemsets)))
+
+    def row_of(self, itemset: Iterable[int]) -> int:
+        """Row of one itemset (``-1`` when absent)."""
+        return int(self.rows_of([itemset])[0])
+
+    def rows_in(self, other: ItemsetKeys) -> np.ndarray:
+        """Row of every row of ``other`` in this table (``-1`` if absent)."""
+        if other.keys is self.keys:
+            return np.arange(len(self))
+        return self.rows_of_padded(self._fit(other.keys))
+
+    def __contains__(self, itemset: Iterable[int]) -> bool:
+        return self.row_of(itemset) >= 0
+
+    def keys_at(self, rows) -> Iterator[ItemsetKey]:
+        """``frozenset`` keys of ``rows`` (an index array or a slice),
+        made one at a time."""
+        ids = self.keys[rows].astype(np.int64) - 1
+        for row, n in zip(ids.tolist(), self.lengths[rows].tolist()):
+            yield frozenset(row[:n])
+
+    def key_at(self, row: int) -> ItemsetKey:
+        """``frozenset`` key of one row."""
+        return next(self.keys_at([row]))
+
+    def __iter__(self) -> Iterator[ItemsetKey]:
+        return self.keys_at(slice(None))
+
+
+class FrequentItemsets(ItemsetKeys):
     """Frequent itemsets with their support and channel counts.
 
     Parameters
     ----------
     counts:
         Mapping from itemset (``frozenset`` of item ids) to the integer
-        vector ``[n, ch...]``. Must include the empty itemset.
+        vector ``[n, ch...]``. Must include the empty itemset. Rows keep
+        the mapping's order. Miners that hold arrays use
+        :meth:`from_arrays` or :meth:`from_levels` instead.
     n_rows:
         Total number of transactions mined.
     min_support:
@@ -42,36 +174,67 @@ class FrequentItemsets:
         n_rows: int,
         min_support: float,
     ) -> None:
-        if frozenset() not in counts:
-            raise MiningError("counts must include the empty itemset totals")
-        self._counts = dict(counts)
+        keys = pack_keys(counts)
+        if (keys == _PAD_SENTINEL).any():
+            raise MiningError("item ids must be in [0, 2**32 - 2)")
+        matrix = np.vstack([np.asarray(v, dtype=np.int64) for v in counts.values()])
+        self._setup(keys, matrix, n_rows, min_support)
+
+    @classmethod
+    def from_arrays(
+        cls, keys: np.ndarray, count_matrix: np.ndarray, n_rows: int, min_support: float
+    ) -> FrequentItemsets:
+        """A table over canonical ``keys`` and row-aligned int64 counts."""
+        table = cls.__new__(cls)
+        table._setup(keys, count_matrix, n_rows, min_support)
+        return table
+
+    @classmethod
+    def from_levels(
+        cls, levels: list[tuple[np.ndarray, np.ndarray]], n_rows: int, min_support: float
+    ) -> FrequentItemsets:
+        """Stack ``(ids, counts)`` blocks in order; ``ids`` is an
+        ``(m, depth)`` matrix of ascending item ids, as the level-wise
+        engines hold their frontiers."""
+        width = max(1, *(ids.shape[1] for ids, _ in levels))
+        keys = np.concatenate(
+            [np.pad(ids + 1, ((0, 0), (0, width - ids.shape[1]))) for ids, _ in levels]
+        )
+        counts = np.concatenate([c for _, c in levels]).astype(np.int64, copy=False)
+        return cls.from_arrays(keys, counts, n_rows, min_support)
+
+    def _setup(self, keys, count_matrix, n_rows, min_support) -> None:
+        ItemsetKeys.__init__(self, keys)
+        self.count_matrix = count_matrix
         self.n_rows = int(n_rows)
         self.min_support = float(min_support)
+        empty = np.flatnonzero(self.lengths == 0)
+        if not len(empty):
+            raise MiningError("counts must include the empty itemset totals")
+        self._empty_row = int(empty[0])
 
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def __contains__(self, itemset: ItemsetKey) -> bool:
-        return frozenset(itemset) in self._counts
-
-    def __iter__(self) -> Iterator[ItemsetKey]:
-        return iter(self._counts)
+    def with_counts(self, count_matrix: np.ndarray) -> FrequentItemsets:
+        """The same keys, and lookup, with other row-aligned counts."""
+        table = copy.copy(self)
+        table.count_matrix = count_matrix
+        return table
 
     def counts(self, itemset: ItemsetKey) -> np.ndarray:
         """The ``[n, ch...]`` vector of ``itemset``.
 
         Raises ``MiningError`` when the itemset was not frequent.
         """
-        try:
-            return self._counts[frozenset(itemset)]
-        except KeyError:
+        row = self.row_of(itemset)
+        if row < 0:
             raise MiningError(
                 f"itemset {set(itemset)} was not mined (below support or invalid)"
-            ) from None
+            )
+        return self.count_matrix[row]
 
     def get(self, itemset: ItemsetKey) -> np.ndarray | None:
         """Like :meth:`counts` but returns ``None`` when absent."""
-        return self._counts.get(frozenset(itemset))
+        row = self.row_of(itemset)
+        return None if row < 0 else self.count_matrix[row]
 
     def support_count(self, itemset: ItemsetKey) -> int:
         """Number of transactions covered by ``itemset``."""
@@ -84,34 +247,17 @@ class FrequentItemsets:
         return self.support_count(itemset) / self.n_rows
 
     def items(self) -> Iterator[tuple[ItemsetKey, np.ndarray]]:
-        """Iterate over ``(itemset, counts)`` pairs."""
-        return iter(self._counts.items())
+        """Iterate over ``(itemset, counts)`` pairs, in row order."""
+        return zip(self, self.count_matrix)
 
     def count_table(self) -> tuple[list[ItemsetKey], np.ndarray]:
-        """All counts as ``(keys, matrix)`` in insertion order.
-
-        ``matrix`` is the ``(N, 1 + k)`` int64 stack of every itemset's
-        ``[n, ch...]`` vector, row-aligned with ``keys``. This is the
-        columnar entry point for the multi-metric and model-comparison
-        engines, which slice per-model/per-metric triples out of one
-        shared table instead of walking the dict per consumer.
-        """
-        keys = list(self._counts)
-        if not keys:
-            return keys, np.empty((0, 0), dtype=np.int64)
-        matrix = np.vstack(
-            [np.asarray(vec, dtype=np.int64) for vec in self._counts.values()]
-        )
-        return keys, matrix
+        """``(keys, count_matrix)`` with the keys as ``frozenset``s."""
+        return list(self), self.count_matrix
 
     @property
     def totals(self) -> np.ndarray:
         """Dataset-wide ``[n, ch...]`` vector (the empty itemset)."""
-        return self._counts[frozenset()]
-
-    def max_length(self) -> int:
-        """Length of the longest frequent itemset."""
-        return max((len(k) for k in self._counts), default=0)
+        return self.count_matrix[self._empty_row]
 
 
 class Miner:

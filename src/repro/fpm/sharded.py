@@ -77,7 +77,7 @@ from repro.fpm.bitset import (
     group_ends,
     weighted_supports,
 )
-from repro.fpm.miner import FrequentItemsets, ItemsetKey, Miner
+from repro.fpm.miner import FrequentItemsets, Miner
 from repro.fpm.transactions import (
     TransactionDataset,
     add_offsets,
@@ -541,15 +541,15 @@ def mine_sharded(
         raise MiningError("dataset is not shardable (see fpm.sharded.shardable)")
     min_count = Miner._validate(dataset, min_support, max_length)
     n = dataset.n_rows
-    out: dict[ItemsetKey, np.ndarray] = {frozenset(): dataset.totals()}
+    levels = [(np.empty((1, 0), dtype=np.uint32), dataset.totals()[None, :])]
     if max_length == 0:
-        return FrequentItemsets(out, n, min_support)
+        return FrequentItemsets.from_levels(levels, n, min_support)
 
     pool = get_pool(n_workers)
     with pool.lock:
         try:
             try:
-                _mine_into(pool, dataset, min_count, max_length, out)
+                _mine_into(pool, dataset, min_count, max_length, levels)
             finally:
                 # Success, abort or worker failure: drain whatever is
                 # still in flight, then free the per-run worker state —
@@ -562,7 +562,7 @@ def mine_sharded(
             raise MiningError(
                 f"sharded mining worker died ({exc}); pool discarded"
             ) from exc
-    return FrequentItemsets(out, n, min_support)
+    return FrequentItemsets.from_levels(levels, n, min_support)
 
 
 def _export_shards(pool: _ShardPool, dataset: TransactionDataset) -> list:
@@ -614,7 +614,7 @@ def _mine_into(
     dataset: TransactionDataset,
     min_count: int,
     max_length: int | None,
-    out: dict[ItemsetKey, np.ndarray],
+    levels: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
     n = dataset.n_rows
     k = dataset.n_channels
@@ -670,7 +670,7 @@ def _mine_into(
     with span("fpm.shard.merge"):
         root_vectors = full(root_support[frequent], root_counts[frequent, 1:])
         keys = freq_items.astype(np.uint32)[:, None]
-        out.update(zip(map(frozenset, keys.tolist()), root_vectors))
+        levels.append((keys, root_vectors))
         group_end = np.full(len(keys), len(keys))
         starts = candidate_starts(keys[:, -1], group_end, catalog)
 
@@ -709,6 +709,6 @@ def _mine_into(
             channel_counts = sum(pool.gather())
         with span("fpm.shard.merge"):
             vectors = full(supports[keep], channel_counts)
-            out.update(zip(map(frozenset, keys.tolist()), vectors))
+            levels.append((keys, vectors))
         if not keep_block:
             break

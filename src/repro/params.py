@@ -407,6 +407,23 @@ def validate_pattern(value: str | None):
     return Itemset.parse(value)
 
 
+def validate_labels(value: object, name: str) -> list[bool]:
+    """Check a JSON list of binary labels: ``true``/``false`` or 0/1.
+
+    Anything else — strings such as ``"false"``, other numbers, objects,
+    ``null`` — is rejected rather than cast, since ``bool("false")`` and
+    ``bool({"a": 1})`` are both true.
+    """
+    if not isinstance(value, list):
+        raise ReproError(f"ingest body needs a '{name}' list")
+    for i, label in enumerate(value):
+        if not (isinstance(label, bool) or (type(label) is int and label in (0, 1))):
+            raise ReproError(
+                f"{name}[{i}] must be true, false, 0 or 1, got {label!r}"
+            )
+    return [bool(label) for label in value]
+
+
 def validate_content_length(value: str | None) -> int:
     """Coerce and check a request's ``Content-Length``: a non-empty body.
 

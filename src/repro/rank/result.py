@@ -8,11 +8,12 @@ fully **vectorized** table of means, variances, divergences (subgroup
 mean − global mean) and Welch t-statistics — single array expressions
 over the count matrix, not a per-record loop.
 
-Because the class keeps the parent's columnar contract (``_keys``,
-``_divergence`` map, ``divergence_vector``, ``lattice_index``), every
-lattice analysis — global item divergence, redundancy pruning,
-corrective items, Shapley explanations, FDR control — works unchanged
-on ranking outcomes.
+Because the class keeps the parent's columnar contract (the
+``frequent`` key table and its row lookup, the ``_count_matrix``
+columns, ``divergence_vector``, ``lattice_index``), every lattice
+analysis — global item divergence, redundancy pruning, corrective
+items, Shapley explanations, FDR control — works unchanged on ranking
+outcomes.
 """
 
 from __future__ import annotations
@@ -85,9 +86,7 @@ class RankDivergenceResult(PatternDivergenceResult):
         self._variances = variances
         # The statistic of this family is the mean weight.
         self._rates = means
-        divergences = means - self.global_mean
-        self._div_vector = divergences
-        self._div_vector_source = None
+        self._div_vector = means - self.global_mean
         # Boolean totals are meaningless for weight channels.
         self.t_total = self.f_total = 0
         self.global_rate = self.global_mean
@@ -108,58 +107,23 @@ class RankDivergenceResult(PatternDivergenceResult):
             self._t_stats = np.abs(self._t_stats_signed)
         return self._t_stats_signed if signed else self._t_stats
 
-    def record_for_key(self, key: frozenset[int]) -> RankPatternRecord:
-        """Full statistics of one frequent subgroup."""
-        row = self._row_by_key.get(frozenset(key))
-        if row is None:
-            self.frequent.counts(key)  # raises the canonical lookup error
-        return self._record_for_row(row)
-
-    def _record_for_row(self, row: int) -> RankPatternRecord:
-        return RankPatternRecord(
-            itemset=self.itemset_of(self._keys[row]),
-            support=self._count_matrix[row, 0] / self.n_rows,
-            support_count=int(self._count_matrix[row, 0]),
-            mean=float(self._means[row]),
-            variance=float(self._variances[row]),
-            divergence=float(self._div_vector[row]),
-            t_statistic=float(self.t_statistics_vector()[row]),
-            t_signed=float(self.t_statistics_vector(signed=True)[row]),
-        )
-
-    @property
-    def _row_by_key(self) -> dict[frozenset[int], int]:
-        rows = self.__dict__.get("_row_by_key_cache")
-        if rows is None:
-            rows = {key: row for row, key in enumerate(self._keys)}
-            self.__dict__["_row_by_key_cache"] = rows
-        return rows
-
-    def records(self, include_empty: bool = False) -> list[RankPatternRecord]:
-        """All frequent patterns as records (cached, vectorized columns)."""
-        if self._records is None:
-            supports = self._count_matrix[:, 0] / self.n_rows
-            t_stats = self.t_statistics_vector()
-            t_signed = self.t_statistics_vector(signed=True)
-            self._records = [
-                RankPatternRecord(
-                    itemset=self.itemset_of(key),
-                    support=supports[row],
-                    support_count=int(self._count_matrix[row, 0]),
-                    mean=float(self._means[row]),
-                    variance=float(self._variances[row]),
-                    divergence=float(self._div_vector[row]),
-                    t_statistic=float(t_stats[row]),
-                    t_signed=float(t_signed[row]),
-                )
-                for row, key in enumerate(self._keys)
-            ]
-            self._records_nonempty = [
-                r for r in self._records if len(r.itemset) > 0
-            ]
-        if include_empty:
-            return list(self._records)
-        return list(self._records_nonempty)
+    def _records_at(self, rows: np.ndarray) -> list[RankPatternRecord]:
+        counts = self._count_matrix
+        t_stats = self.t_statistics_vector()
+        t_signed = self.t_statistics_vector(signed=True)
+        return [
+            RankPatternRecord(
+                itemset=self.itemset_of(key),
+                support=counts[row, 0] / self.n_rows,
+                support_count=int(counts[row, 0]),
+                mean=float(self._means[row]),
+                variance=float(self._variances[row]),
+                divergence=float(self._div_vector[row]),
+                t_statistic=float(t_stats[row]),
+                t_signed=float(t_signed[row]),
+            )
+            for row, key in zip(rows.tolist(), self.frequent.keys_at(rows))
+        ]
 
     def __repr__(self) -> str:
         return (

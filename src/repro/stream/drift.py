@@ -137,21 +137,17 @@ def score_drift(
     """
     config = config or DriftConfig()
     checkpoint("stream.drift")
-    shared = [
-        key
-        for key in cur.frequent
-        if len(key) > 0 and key in prev.frequent
-    ]
+    # One batched lookup aligns the windows: prev's row of every
+    # non-empty cur row, in cur's table order.
+    prev_rows = prev.frequent.rows_in(cur.frequent)
+    shared = np.flatnonzero((cur.length_vector() > 0) & (prev_rows >= 0))
+    prev_rows = prev_rows[shared]
     alerts: list[DriftAlert] = []
-    if shared:
-        prev_counts = np.array(
-            [prev.frequent.counts(k)[:3] for k in shared], dtype=np.float64
-        )
-        cur_counts = np.array(
-            [cur.frequent.counts(k)[:3] for k in shared], dtype=np.float64
-        )
-        prev_div = np.array([prev.divergence_or_zero(k) for k in shared])
-        cur_div = np.array([cur.divergence_or_zero(k) for k in shared])
+    if shared.size:
+        prev_counts = prev.frequent.count_matrix[prev_rows, :3].astype(np.float64)
+        cur_counts = cur.frequent.count_matrix[shared, :3].astype(np.float64)
+        prev_div = prev.divergence_vector(zero_nan=True)[prev_rows]
+        cur_div = cur.divergence_vector(zero_nan=True)[shared]
         delta = cur_div - prev_div
         t_stat = _welch_between_windows(prev_counts, cur_counts)
         hit = (np.abs(delta) >= config.min_delta) & (t_stat >= config.min_t)
@@ -159,7 +155,7 @@ def score_drift(
         picked = [i for i in order.tolist() if hit[i]]
         picked = picked[: config.max_alerts_per_window]
         for i in picked:
-            key = shared[i]
+            key = cur.frequent.key_at(int(shared[i]))
             alerts.append(
                 DriftAlert(
                     kind="divergence_shift",

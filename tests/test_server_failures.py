@@ -27,6 +27,7 @@ from repro.app.server import AppState, _Handler, _MonitorSession, create_server
 from repro.core.divergence import DivergenceExplorer
 from repro.obs import get_registry
 from repro.obs.metrics import MetricsRegistry
+from repro.params import validate_labels
 from repro.rank import RankDivergenceExplorer
 from repro.resilience import inject_fault
 from repro.store import PatternStore
@@ -225,3 +226,31 @@ def test_edge_validation_is_400(server, method, path, query, word):
     payload = check(server, 400, method, path, query, body)
     assert word in payload["error"]
     assert EXPLORE_KEY not in server.app_state._cache
+
+
+@pytest.mark.parametrize(
+    "field, labels",
+    [
+        ("truth", ["false"]),
+        ("truth", ["0"]),
+        ("pred", [{"a": 1}]),
+        ("pred", [None]),
+        ("truth", [2]),
+        ("pred", [0.0]),
+        ("truth", "true"),
+    ],
+    ids=["string-false", "string-0", "object", "null", "two", "float", "not-a-list"],
+)
+def test_ingest_labels_validation_is_400(server, field, labels):
+    body = {"rows": [{"sex": "Male"}], "truth": [True], "pred": [False]}
+    body[field] = labels
+    payload = check(
+        server, 400, "POST", "/api/monitor/ingest", "", json.dumps(body).encode()
+    )
+    assert field in payload["error"]
+
+
+def test_labels_accept_json_booleans_and_0_1():
+    assert validate_labels([True, 0, 1, False], "truth") == [
+        True, False, True, False
+    ]
