@@ -19,17 +19,16 @@ import timeit
 from pathlib import Path
 
 from _envelope import QUICK, write_bench_json
-from repro.core.corrective import (
-    find_corrective_items,
-    find_corrective_items_reference,
-)
-from repro.core.global_divergence import (
-    global_item_divergence,
-    global_item_divergence_reference,
-)
-from repro.core.pruning import prune_redundant, prune_redundant_reference
+from repro.core.corrective import find_corrective_items
+from repro.core.global_divergence import global_item_divergence
+from repro.core.pruning import prune_redundant
 from repro.experiments.tables import format_table
 from repro.obs import get_registry, span_rows
+from tests.oracles import (
+    find_corrective_items_reference,
+    global_item_divergence_reference,
+    prune_redundant_reference,
+)
 
 SUPPORTS = [0.1, 0.05, 0.01]
 EPSILON = 0.05

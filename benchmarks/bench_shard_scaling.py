@@ -6,10 +6,9 @@ ablation at 10M rows, and verifies the sharded results are
 *bit-identical* to the serial miners (bitset at 1M, FP-growth at a
 smaller size). Worker count 1 is the serial baseline by construction
 (``resolve_workers(1) == 1``); counts >= 2 run the level-synchronous
-shard/merge engine of :mod:`repro.fpm.sharded`, whose kernel avoids the
-serial miner's fancy-index copies and per-level concatenations — the
-speedup measured here is kernel efficiency, not just core count, so it
-holds even on few-core machines.
+shard/merge engine of :mod:`repro.fpm.sharded`, whose workers run the
+serial miner's own tile code on their row shard — the speedup measured
+here is parallelism over row shards, bounded by the machine's cores.
 
 Writes ``BENCH_shard_scaling.json`` at the repo root with per-worker
 timings and the span breakdown separating shard export, counting and

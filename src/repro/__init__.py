@@ -23,11 +23,9 @@ from repro.core.compare import (
     CompareResult,
     PatternShift,
     compare_results,
-    compare_results_reference,
     delta_columns,
     explore_compare,
     regressions,
-    regressions_reference,
     resolve_models,
 )
 from repro.core.continuous import ContinuousDivergenceExplorer
@@ -90,7 +88,6 @@ __all__ = [
     "Table",
     "__version__",
     "compare_results",
-    "compare_results_reference",
     "datasets",
     "delta_columns",
     "explain_top_k",
@@ -107,7 +104,6 @@ __all__ = [
     "progressive_explore",
     "prune_redundant",
     "regressions",
-    "regressions_reference",
     "resolve_models",
     "result_from_json",
     "result_to_json",

@@ -1403,6 +1403,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
         if not getattr(result, "approximate", False):
             return None
+        meta = result.as_meta(top)
         if epsilon is not None:
             records = prune_redundant(result, epsilon)[:top]
             keys = [result.key_of(r.itemset) for r in records]
@@ -1410,7 +1411,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             records = result.top_k(top)
             keys = [result.key_of(r.itemset) for r in records]
-            stable = result.stable_ranks(top)
+            stable = meta["stable_ranks"]
         rows = []
         for record, key, flag in zip(records, keys, stable):
             low, high = result.ci_for_key(key)
@@ -1429,7 +1430,7 @@ class _Handler(BaseHTTPRequestHandler):
             "n_patterns": len(result) - 1,
             "patterns": rows,
         }
-        payload.update(result.as_meta(top))
+        payload.update(meta)
         return payload
 
     def _explain(self, params: dict[str, str]) -> dict:

@@ -144,26 +144,26 @@ class ApproxResult(PatternDivergenceResult):
     # ------------------------------------------------------------------
 
     def stable_flags_for_keys(
-        self, keys: Sequence[frozenset[int]]
+        self, keys: Sequence[frozenset[int]], beyond: float = -np.inf
     ) -> list[bool]:
         """Stability of each position of a ranked key list.
 
         Position ``i`` is stable when its ``ci_low`` weakly dominates
         the highest ``ci_high`` anywhere below it — no sample
         refinement can promote a lower-ranked pattern above it at the
-        result's confidence. The last position is compared against
-        nothing and is stable by convention; NaN intervals are never
-        stable and never dominate.
+        result's confidence. ``beyond`` is the highest ``ci_high`` of
+        the ranked patterns after the list; with none, the last
+        position is compared against nothing and is stable by
+        convention. NaN intervals are never stable and never dominate.
         """
         if not keys:
             return []
         low, high = self.ci_bounds()
         rows = self._rows_of(keys)
         lows = low[rows]
-        highs = np.nan_to_num(high[rows], nan=-np.inf)
+        highs = np.append(np.nan_to_num(high[rows], nan=-np.inf), beyond)
         # Highest upper bound strictly below each position.
-        suffix = np.maximum.accumulate(highs[::-1])[::-1]
-        below = np.concatenate([suffix[1:], [-np.inf]])
+        below = np.maximum.accumulate(highs[::-1])[::-1][1:]
         with np.errstate(invalid="ignore"):
             flags = lows >= below
         return [bool(f) and not math.isnan(lows[i]) for i, f in enumerate(flags)]
@@ -178,16 +178,19 @@ class ApproxResult(PatternDivergenceResult):
         when fewer patterns exist). A non-approximate result (sample ==
         dataset) is exact: every rank is stable. Patterns whose sampled
         rate is undefined (all-BOTTOM in the sample) are unrankable and
-        excluded, as in :meth:`top_k`.
+        excluded, as in :meth:`top_k`. Only the top k are ranked; the
+        rest of the table enters through one ``max`` of ``ci_high``.
         """
-        shown = min(k, len(self))
-        if not self.approximate:
-            return [True] * len(self.top_k(k=shown, by=by))
-        ranked = self.top_k(k=len(self), by=by)
-        flags = self.stable_flags_for_keys(
-            [self.key_of(r.itemset) for r in ranked]
-        )
-        return flags[: min(k, len(flags))]
+        ranked = self.top_k(k=min(k, len(self)), by=by)
+        if not self.approximate or not ranked:
+            return [True] * len(ranked)
+        keys = [self.key_of(r.itemset) for r in ranked]
+        # The rankable rows below the top k, as top_k selects them.
+        rest = (self.length_vector() > 0) & ~np.isnan(self.statistic_vector(by))
+        rest[self._rows_of(keys)] = False
+        highs = self.ci_bounds()[1][rest]
+        beyond = np.nan_to_num(highs, nan=-np.inf).max(initial=-np.inf)
+        return self.stable_flags_for_keys(keys, beyond)
 
     def topk_converged(self, k: int = 10, by: str = "divergence") -> bool:
         """Whether the top-k ranking is guaranteed at this confidence."""

@@ -11,12 +11,10 @@ from repro.core.compare import (
     CompareResult,
     PatternShift,
     compare_results,
-    compare_results_reference,
     delta_columns,
     delta_divergence_score,
     explore_compare,
     regressions,
-    regressions_reference,
     resolve_models,
 )
 from repro.core.continuous import (
@@ -65,7 +63,6 @@ __all__ = [
     "PatternShift",
     "beta_moments",
     "compare_results",
-    "compare_results_reference",
     "delta_columns",
     "delta_divergence_score",
     "explain_top_k",
@@ -80,7 +77,6 @@ __all__ = [
     "prune_redundant",
     "redundancy_margins",
     "regressions",
-    "regressions_reference",
     "resolve_models",
     "result_from_json",
     "result_to_json",

@@ -22,9 +22,8 @@ module provides both layers:
   tables (shared-mine or independently mined) and rank the patterns
   whose behaviour changed. Alignment and statistics run as vectorized
   :class:`~repro.core.lattice_index.LatticeIndex` kernels; the
-  historical dict-walk implementations are kept as
-  :func:`compare_results_reference` / :func:`regressions_reference`
-  oracles, pinned bit-identical by the test suite.
+  historical dict walks are the test suite's oracles
+  (``tests/oracles.py``), pinned bit-identical to these kernels.
 
 Two historical blind spots are fixed here. First, the old loop walked
 ``result_a.frequent`` only, so a pattern frequent solely under model B
@@ -50,11 +49,7 @@ from repro.core.divergence import DivergenceExplorer, _class_array
 from repro.core.items import Itemset
 from repro.core.outcomes import BOTTOM, TRUE, outcome_channels, outcome_metric
 from repro.core.result import PatternDivergenceResult
-from repro.core.significance import (
-    beta_moments,
-    welch_t_statistic_signed,
-    welch_t_statistics_pair,
-)
+from repro.core.significance import welch_t_statistics_pair
 from repro.exceptions import ReproError
 from repro.fpm.miner import FrequentItemsets
 from repro.obs import get_registry, span
@@ -181,113 +176,6 @@ def _order_key(shift: PatternShift) -> tuple[int, float]:
     return (0, -abs(shift.shift))
 
 
-def _iter_shifts_reference(
-    result_a: PatternDivergenceResult, result_b: PatternDivergenceResult
-):
-    """Dict-walk generation of every comparable pattern, unsorted.
-
-    Walks the *union* of the two frequent sets: A's patterns in table
-    order (two-sided where B also has the pattern), then the patterns
-    frequent only under B. Rows with an unmeasurable (all-BOTTOM) rate
-    on a populated side are skipped.
-    """
-    for key in result_a.frequent:
-        if len(key) == 0:
-            continue
-        rec_a = result_a.record_for_key(key)
-        if math.isnan(rec_a.divergence):
-            continue
-        if key in result_b.frequent:
-            rec_b = result_b.record_for_key(key)
-            if math.isnan(rec_b.divergence):
-                continue
-            mu_a, var_a = beta_moments(rec_a.t_count, rec_a.f_count)
-            mu_b, var_b = beta_moments(rec_b.t_count, rec_b.f_count)
-            yield PatternShift(
-                itemset=rec_a.itemset,
-                divergence_a=rec_a.divergence,
-                divergence_b=rec_b.divergence,
-                rate_a=rec_a.rate,
-                rate_b=rec_b.rate,
-                t_statistic=welch_t_statistic_signed(
-                    mu_b, var_b, mu_a, var_a
-                ),
-                delta_divergence=delta_divergence_score(
-                    rec_a.rate, rec_a.divergence, rec_b.rate, rec_b.divergence
-                ),
-            )
-        else:
-            yield PatternShift(
-                itemset=rec_a.itemset,
-                divergence_a=rec_a.divergence,
-                divergence_b=_NAN,
-                rate_a=rec_a.rate,
-                rate_b=_NAN,
-                t_statistic=_NAN,
-                in_b=False,
-            )
-    for key in result_b.frequent:
-        if len(key) == 0 or key in result_a.frequent:
-            continue
-        rec_b = result_b.record_for_key(key)
-        if math.isnan(rec_b.divergence):
-            continue
-        yield PatternShift(
-            itemset=rec_b.itemset,
-            divergence_a=_NAN,
-            divergence_b=rec_b.divergence,
-            rate_a=_NAN,
-            rate_b=rec_b.rate,
-            t_statistic=_NAN,
-            in_a=False,
-        )
-
-
-def compare_results_reference(
-    result_a: PatternDivergenceResult,
-    result_b: PatternDivergenceResult,
-    k: int = 10,
-    min_t: float = 0.0,
-) -> list[PatternShift]:
-    """Dict-walk oracle for :func:`compare_results`.
-
-    Retained as the readable specification the vectorized engine is
-    pinned bit-identical against; use :func:`compare_results` in
-    production code.
-    """
-    _check_compatible(result_a, result_b)
-    shifts = [
-        s
-        for s in _iter_shifts_reference(result_a, result_b)
-        if s.one_sided or abs(s.t_statistic) >= min_t
-    ]
-    shifts.sort(key=_order_key)
-    return shifts[: max(int(k), 0)]
-
-
-def regressions_reference(
-    result_a: PatternDivergenceResult,
-    result_b: PatternDivergenceResult,
-    k: int = 10,
-    min_t: float = 2.0,
-) -> list[PatternShift]:
-    """Dict-walk oracle for :func:`regressions`.
-
-    One pass over the generated shifts — the significance gate and the
-    worse-under-B filter apply together, no sentinel ``k``.
-    """
-    _check_compatible(result_a, result_b)
-    worse = [
-        s
-        for s in _iter_shifts_reference(result_a, result_b)
-        if not s.one_sided
-        and abs(s.t_statistic) >= min_t
-        and abs(s.divergence_b) > abs(s.divergence_a)
-    ]
-    worse.sort(key=lambda s: -(abs(s.divergence_b) - abs(s.divergence_a)))
-    return worse[: max(int(k), 0)]
-
-
 class _AlignedPair(NamedTuple):
     """Vectorized alignment of two divergence tables.
 
@@ -410,8 +298,8 @@ def compare_results(
     flagged via ``in_a``/``in_b`` and ranked by the |divergence| of
     their populated side. Alignment and statistics run as vectorized
     ``LatticeIndex`` kernels; the output is bit-identical to the
-    :func:`compare_results_reference` dict walk (to the last ulp for
-    subgroups up to ~2·10^5 rows, see
+    historical dict walk (to the last ulp for subgroups up to ~2·10^5
+    rows, see
     :func:`~repro.core.significance.welch_t_statistics_pair`).
     """
     _check_compatible(result_a, result_b)

@@ -11,9 +11,8 @@ item) pair is one flat entry, the base pattern is its precomputed
 parent row, and the Beta/Welch significance of all candidate
 corrections is computed in one vectorized shot. Only the top candidates
 are materialized into :class:`CorrectiveItem` objects. The original
-dict-walk search is retained as
-:func:`find_corrective_items_reference`, the oracle the vectorized path
-is property-tested against.
+dict-walk search is the oracle of the property tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 from repro.core.items import Item, Itemset
 from repro.core.result import PatternDivergenceResult
-from repro.core.significance import beta_moments, welch_t_statistic
 from repro.obs import span
 from repro.resilience import checkpoint
 
@@ -143,45 +141,6 @@ def _beta_moments_vec(
         (total + 2.0) ** 2 * (total + 3.0)
     )
     return mean, variance
-
-
-def find_corrective_items_reference(
-    result: PatternDivergenceResult,
-    k: int = 10,
-    min_factor: float = 0.0,
-) -> list[CorrectiveItem]:
-    """Dict-walk oracle for :func:`find_corrective_items` (kept verbatim
-    up to the shared deterministic tie-break)."""
-    found: list[CorrectiveItem] = []
-    for key in result.frequent:
-        if len(key) < 2:
-            continue  # the base pattern must be non-empty
-        div_k = result.divergence_of_key(key)
-        if math.isnan(div_k):
-            continue
-        for alpha in key:
-            base_key = key - {alpha}
-            div_base = result.divergence_of_key(base_key)
-            if math.isnan(div_base):
-                continue
-            factor = abs(div_base) - abs(div_k)
-            if factor <= min_factor:
-                continue
-            base_counts = result.frequent.counts(base_key)
-            corr_counts = result.frequent.counts(key)
-            mu_b, var_b = beta_moments(int(base_counts[1]), int(base_counts[2]))
-            mu_c, var_c = beta_moments(int(corr_counts[1]), int(corr_counts[2]))
-            found.append(
-                CorrectiveItem(
-                    base=result.itemset_of(base_key),
-                    item=result.item_of(alpha),
-                    base_divergence=div_base,
-                    corrected_divergence=div_k,
-                    corrective_factor=factor,
-                    t_statistic=welch_t_statistic(mu_b, var_b, mu_c, var_c),
-                )
-            )
-    return _sort_corrections(found)[:k]
 
 
 def is_corrective(

@@ -15,9 +15,8 @@ The single-item case — the paper's headline "global item divergence" —
 is one scatter-add over the columnar lattice index: every table row
 ``K`` contributes ``w(K)·[Δ(K) − Δ(K \\ α)]`` to each of its items
 ``α``, and both the weights ``w(K)`` and the parent-row gathers are
-precomputed. The original per-pattern dict walk is retained as
-:func:`global_item_divergence_reference`, the oracle the vectorized
-kernel is property-tested against.
+precomputed. The original per-pattern dict walk is the oracle of the
+property tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -60,37 +59,6 @@ def global_item_divergence(
     )
     present = np.unique(index.items_flat)
     return {result.item_of(int(a)): float(totals[a]) for a in present}
-
-
-def global_item_divergence_reference(
-    result: PatternDivergenceResult,
-) -> dict[Item, float]:
-    """Dict-walk oracle for :func:`global_item_divergence`.
-
-    One frozenset allocation and divergence-map probe per (pattern,
-    item) pair; kept verbatim as the correctness reference for the
-    vectorized kernel.
-    """
-    n_attrs = len(result.catalog.attributes)
-    fact = [factorial(i) for i in range(n_attrs + 1)]
-    n_fact = fact[n_attrs]
-    cards = result.catalog.cardinalities
-    column_of = result.catalog.column_of
-
-    totals: dict[int, float] = {}
-    for key in result.frequent:
-        k = len(key)
-        if k == 0 or k > n_attrs:
-            continue
-        prod_m = 1
-        for item_id in key:
-            prod_m *= cards[column_of(item_id)]
-        weight = fact[k - 1] * fact[n_attrs - k] / (n_fact * prod_m)
-        div_k = result.divergence_or_zero(key)
-        for alpha in key:
-            div_j = result.divergence_or_zero(key - {alpha})
-            totals[alpha] = totals.get(alpha, 0.0) + weight * (div_k - div_j)
-    return {result.item_of(a): v for a, v in sorted(totals.items())}
 
 
 def global_divergence_of_itemset(

@@ -10,9 +10,8 @@ The hot path is columnar: the lattice index resolves every pattern's
 immediate subsets once, and :func:`redundancy_margins` reduces the
 marginal contributions to one ``min |Δ(I) − Δ(I \\ α)|`` per row. A
 whole ε-sweep (Fig. 10) is then a single comparison per threshold
-against that one array. The original per-pattern dict walk is retained
-as :func:`prune_redundant_reference` / :func:`is_redundant_reference`,
-the oracles the vectorized path is property-tested against.
+against that one array. The original per-pattern dict walk is the
+oracle of the property tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -92,22 +91,6 @@ def is_redundant(
     return bool(np.any(near & ~np.isnan(parent_div)))
 
 
-def is_redundant_reference(
-    result: PatternDivergenceResult, key: frozenset[int], epsilon: float
-) -> bool:
-    """Dict-walk oracle for :func:`is_redundant` (kept verbatim)."""
-    div_i = result.divergence_of_key(key)
-    if math.isnan(div_i):
-        return True
-    for alpha in key:
-        div_parent = result.divergence_of_key(key - {alpha})
-        if math.isnan(div_parent):
-            continue
-        if abs(div_i - div_parent) <= epsilon:
-            return True
-    return False
-
-
 @span("kernel.prune_redundant")
 def prune_redundant(
     result: PatternDivergenceResult, epsilon: float
@@ -126,20 +109,6 @@ def prune_redundant(
     margins, prunable = redundancy_margins(result)
     kept_rows = np.nonzero(prunable & (margins > epsilon))[0]
     return _sort_records(result.records_for_rows(kept_rows))
-
-
-def prune_redundant_reference(
-    result: PatternDivergenceResult, epsilon: float
-) -> list[PatternRecord]:
-    """Dict-walk oracle for :func:`prune_redundant` (kept verbatim)."""
-    if epsilon < 0:
-        raise ReproError(f"epsilon must be >= 0, got {epsilon}")
-    kept = [
-        result.record_for_key(key)
-        for key in result.frequent
-        if len(key) > 0 and not is_redundant_reference(result, key, epsilon)
-    ]
-    return _sort_records(kept)
 
 
 def pruned_count_by_epsilon(

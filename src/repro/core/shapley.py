@@ -14,14 +14,12 @@ exploration — no extra data passes are needed.
 subset rows of every pattern are resolved against the columnar lattice
 index in one batched lookup (no per-subset frozenset hashing), and the
 weighted marginal sums are computed with bitmask arithmetic. The
-original per-subset dict walk is retained as
-:func:`shapley_contributions_reference`, the oracle the batched kernel
-is property-tested against.
+original per-subset dict walk is the oracle of the property tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -113,41 +111,6 @@ def shapley_contributions(
     exploration's support threshold.
     """
     return shapley_batch(result, [itemset])[0]
-
-
-def shapley_contributions_reference(
-    result: PatternDivergenceResult, itemset: Itemset
-) -> dict[Item, float]:
-    """Dict-walk oracle for :func:`shapley_contributions`.
-
-    One frozenset allocation and divergence-map probe per subset term;
-    kept verbatim as the correctness reference for the batched kernel.
-    """
-    key = result.key_of(itemset)
-    if key not in result.frequent:
-        raise ReproError(
-            f"pattern ({itemset}) is not frequent at support {result.min_support}"
-        )
-    ids = sorted(key)
-    n = len(ids)
-    if n == 0:
-        return {}
-    # Precompute the permutation weights w(|J|) = |J|!(n-|J|-1)!/n!.
-    n_fact = factorial(n)
-    weights = [factorial(j) * factorial(n - j - 1) / n_fact for j in range(n)]
-    contributions: dict[Item, float] = {}
-    for alpha in ids:
-        rest = [i for i in ids if i != alpha]
-        total = 0.0
-        for size in range(n):
-            w = weights[size]
-            for combo in combinations(rest, size):
-                j_key = frozenset(combo)
-                with_alpha = result.divergence_or_zero(j_key | {alpha})
-                without = result.divergence_or_zero(j_key)
-                total += w * (with_alpha - without)
-        contributions[result.item_of(alpha)] = total
-    return contributions
 
 
 def shapley_efficiency_gap(

@@ -23,15 +23,17 @@ multiplicities, the multiplicity sum of the covered rows
 survivors only, through the bit-sliced kernel
 (:func:`~repro.fpm.transactions.plane_sums`,
 ``Σ_c = (popcount(cov & planes) @ weights)[c] + support · vmin[c]``,
-exact int64 arithmetic), and the next key matrix from ``keys[parent]``
-plus the new item.
+exact int64 arithmetic; :func:`~repro.fpm.transactions.channel_vectors`
+restores the last channel of a row partition from the support), and the
+next key matrix from ``keys[parent]`` plus the new item.
 
 Two bounds keep wide bitmaps fast and memory flat:
 
-- *Candidate tiles*: consecutive nodes are ANDed together while their
-  candidates fit :data:`~repro.fpm.transactions._PLANE_TILE` words. A
-  tile of one node ANDs its contiguous sibling slice by broadcast, with
-  no index gather — the wide-bitmap (many-row) case.
+- *Candidate tiles* (:func:`pair_tiles`, :func:`and_pairs`, which the
+  sharded workers run too): consecutive nodes are ANDed together while
+  their candidates fit :data:`~repro.fpm.transactions._CANDIDATE_TILE`
+  words. A tile of one node ANDs its contiguous sibling slice by
+  broadcast, with no index gather — the wide-bitmap (many-row) case.
 - *Frontier blocks*: a frontier is expanded in runs of nodes whose
   candidates fit :data:`~repro.fpm.transactions._FRONTIER_BYTES`, taken
   depth-first from a stack. A run always sees its nodes' whole sibling
@@ -49,7 +51,7 @@ from repro.fpm.transactions import (
     _HAS_BITWISE_COUNT,
     ItemCatalog,
     TransactionDataset,
-    add_offsets,
+    channel_vectors,
     plane_sums,
     popcount_rows,
 )
@@ -136,6 +138,44 @@ def group_ends(parent: np.ndarray) -> np.ndarray:
     return np.repeat(ends, np.diff(ends, prepend=0))
 
 
+def pair_tiles(bounds: np.ndarray, tile: int):
+    """``(first, stop)`` ranges of a run of (node, candidate) pairs.
+
+    ``bounds`` holds each node's end in the run (cumulative pair
+    counts). A tile is whole nodes up to ``tile`` pairs; a node with
+    more runs alone, so it is one broadcast AND (:func:`and_pairs`).
+    """
+    first, total = 0, int(bounds[-1]) if len(bounds) else 0
+    while first < total:
+        fit = int(np.searchsorted(bounds, first + tile, side="right"))
+        stop = int(bounds[fit - 1]) if fit else 0
+        if stop <= first:
+            stop = int(bounds[np.searchsorted(bounds, first, "right")])
+        yield first, stop
+        first = stop
+
+
+def and_pairs(
+    cov: np.ndarray, parent: np.ndarray, cand: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``out = cov[parent] & cov[cand]`` for one tile of pairs.
+
+    A tile of one node ANDs its candidates by broadcast: a contiguous
+    run as a slice, with no index gather, any other set gathered once.
+    A tile of several nodes gathers both sides.
+    """
+    if parent[0] == parent[-1]:
+        if cand[-1] - cand[0] == len(cand) - 1:
+            np.bitwise_and(cov[parent[0]], cov[cand[0] : cand[-1] + 1], out=out)
+        else:
+            np.take(cov, cand, axis=0, out=out, mode="clip")
+            out &= cov[parent[0]]
+    else:
+        np.take(cov, parent, axis=0, out=out, mode="clip")
+        out &= cov[cand]
+    return out
+
+
 class BitsetMiner(Miner):
     """Level-wise vertical miner over packed-bitmap intersections."""
 
@@ -153,18 +193,15 @@ class BitsetMiner(Miner):
         n = dataset.n_rows
         catalog = dataset.catalog
         item_bitmaps = _as_words(dataset.packed_item_bitmaps)
-        planes, weights, vmin = dataset.channel_planes
+        planes, weights, vmin = dataset.kernel_planes
         sums_of = plane_sums(_as_words(planes), weights)
-        offset = bool(vmin.any())
         support_of = support_kernel(dataset)
 
         def record(keys: np.ndarray, coverage: np.ndarray, supports):
             # [support, channel sums...] per node, row-aligned with keys.
             sums = sums_of(coverage)
-            if offset:
-                sums = add_offsets(sums, supports, vmin)
             levels.append(
-                (keys, np.concatenate([supports[:, None], sums], axis=1))
+                (keys, channel_vectors(supports, sums, vmin, dataset.n_channels))
             )
 
         levels = [(np.empty((1, 0), dtype=np.uint32), dataset.totals()[None, :])]
@@ -214,27 +251,15 @@ class BitsetMiner(Miner):
             kept = np.empty(len(parent), dtype=bool)
             child_sup = np.empty(len(parent), dtype=np.int64)
             bounds = np.cumsum(ends[lo:hi] - starts[lo:hi])
-            filled = first = 0
-            while first < len(parent):
+            filled = 0
+            for first, stop in pair_tiles(bounds, tile):
                 checkpoint(self.phase)
-                # Whole nodes up to ``tile`` candidates; a node with more
-                # runs alone.
-                fit = int(np.searchsorted(bounds, first + tile, side="right"))
-                stop = int(bounds[fit - 1]) if fit else 0
-                if stop <= first:
-                    stop = int(bounds[np.searchsorted(bounds, first, "right")])
-                dst = child[filled : filled + stop - first]
-                if parent[first] == parent[stop - 1]:
-                    # One node: broadcast AND over its contiguous
-                    # sibling slice, no gather.
-                    np.bitwise_and(
-                        cov[parent[first]],
-                        cov[cand[first] : cand[stop - 1] + 1],
-                        out=dst,
-                    )
-                else:
-                    np.take(cov, parent[first:stop], axis=0, out=dst, mode="clip")
-                    dst &= cov[cand[first:stop]]
+                dst = and_pairs(
+                    cov,
+                    parent[first:stop],
+                    cand[first:stop],
+                    child[filled : filled + stop - first],
+                )
                 sup = support_of(dst)
                 keep = sup >= min_count
                 kept[first:stop] = keep
@@ -243,7 +268,6 @@ class BitsetMiner(Miner):
                     child[filled : filled + survivors] = dst[keep]
                 child_sup[filled : filled + survivors] = sup[keep]
                 filled += survivors
-                first = stop
             if not filled:
                 continue
             parent, cand = parent[kept], cand[kept]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +38,9 @@ ItemsetKey = frozenset[int]
 # A query row of sentinels never matches a table row.
 _PAD_SENTINEL = np.uint32(0xFFFFFFFF)
 _MAX_ID = int(_PAD_SENTINEL) - 1
+# Key counts up to which packing key by key beats the fixed cost of the
+# array path's numpy calls; single-key point lookups are the common case.
+_PER_KEY_MAX = 32
 
 
 def _void_view(padded: np.ndarray) -> np.ndarray:
@@ -55,16 +59,40 @@ def pack_keys(itemsets: Iterable[Iterable[int]]) -> np.ndarray:
 
     ``W`` is the longest itemset (at least 1). Ids may come in any order
     and repeat. An itemset holding an id outside ``[0, 2**32 - 2)``
-    cannot be in any table; its row is all sentinels.
+    cannot be in any table; its row is all sentinels. Up to
+    :data:`_PER_KEY_MAX` keys are packed one by one; more are flattened
+    once, sorted by (row, id), deduplicated and scattered.
     """
-    sets = [sorted(set(s)) for s in itemsets]
-    width = max(1, max(map(len, sets), default=0))
-    # Padding -1 becomes 0 after the shift to id + 1.
-    keys = np.array([s + [-1] * (width - len(s)) for s in sets], dtype=np.int64)
-    keys = keys.reshape(len(sets), width) + 1
-    bad = [i for i, s in enumerate(sets) if s and (s[0] < 0 or s[-1] >= _MAX_ID)]
-    keys[bad] = _PAD_SENTINEL
-    return keys.astype(np.uint32)
+    sets = list(itemsets)
+    if len(sets) <= _PER_KEY_MAX:
+        rows = [sorted(set(s)) for s in sets]
+        width = max(1, max(map(len, rows), default=0))
+        # Padding -1 becomes 0 after the shift to id + 1.
+        padded = [r + [-1] * (width - len(r)) for r in rows]
+        keys = np.array(padded, dtype=np.int64).reshape(len(rows), width) + 1
+        bad = [i for i, r in enumerate(rows) if r and (r[0] < 0 or r[-1] >= _MAX_ID)]
+        keys[bad] = _PAD_SENTINEL
+        return keys.astype(np.uint32)
+    try:
+        lengths = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    except TypeError:  # one-shot iterables
+        sets = [tuple(s) for s in sets]
+        lengths = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    ids = np.fromiter(
+        chain.from_iterable(sets), dtype=np.int64, count=int(lengths.sum())
+    )
+    rows = np.repeat(np.arange(len(sets)), lengths)
+    order = np.lexsort((ids, rows))
+    rows, ids = rows[order], ids[order]
+    fresh = np.ones(len(ids), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]) | (ids[1:] != ids[:-1])
+    rows, ids = rows[fresh], ids[fresh]
+    sizes = np.bincount(rows, minlength=len(sets))
+    columns = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    keys = np.zeros((len(sets), max(1, int(sizes.max(initial=0)))), np.uint32)
+    keys[rows, columns] = ids + 1
+    keys[rows[(ids < 0) | (ids >= _MAX_ID)]] = _PAD_SENTINEL
+    return keys
 
 
 class ItemsetKeys:

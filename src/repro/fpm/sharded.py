@@ -5,10 +5,10 @@ the packed vertical bitmaps of a :class:`~repro.fpm.transactions.
 TransactionDataset` partition cleanly by row: each shard holds the bit
 columns of its row range, mines the *same* prefix tree as the serial
 :class:`~repro.fpm.bitset.BitsetMiner`, and the master adds the
-per-itemset ``[support, ch...]`` count vectors across shards. Integer
-addition is exact, so the merged table is bit-identical to a serial run
-— which is what lets :class:`~repro.fpm.cache.MiningCache` keys ignore
-the shard plan entirely.
+per-itemset ``[support, channel sums...]`` vectors across shards.
+Integer addition is exact, so the merged table is bit-identical to a
+serial run — which is what lets :class:`~repro.fpm.cache.MiningCache`
+keys ignore the shard plan entirely.
 
 Layout and lifecycle:
 
@@ -17,46 +17,32 @@ Layout and lifecycle:
   :func:`~repro.fpm.transactions.slice_packed_bits` and reinterpret as
   uint64 words.
 - Each shard is exported once per mining run through
-  ``multiprocessing.shared_memory`` — the bitmap payload itself is
-  never pickled; only small per-level candidate index arrays cross the
-  pipes. Workers build their derived root blocks from the segment and
-  close it immediately; the master unlinks every segment as soon as the
-  roots are acknowledged, so no segment outlives the load phase.
+  ``multiprocessing.shared_memory``: its item bitmaps, the channel-sum
+  kernel's bit planes (:attr:`~repro.fpm.transactions.
+  TransactionDataset.kernel_planes`) and, for rows with multiplicities,
+  the multiplicity planes. The bitmap payload itself is never pickled;
+  only plane weights and small per-level index arrays cross the pipes.
+  A worker copies its shard, closes the segment and answers the root
+  counts in one ``load`` step; the master then unlinks every segment.
 - Workers are persistent fork-server processes pooled per worker count
   (:func:`get_pool`); pools are reused across runs and torn down at
   interpreter exit (:func:`shutdown_pools`).
 - The search itself is level-synchronous (count distribution): the
-  master drives the exact prefix-tree frontier of the serial miner,
-  broadcasting per-level candidate ranges; workers answer with local
-  count vectors that merge by addition. Items are in fixed id order, so
-  a node's cross-column candidates form one contiguous sibling run —
-  workers AND whole ranges with no index gathers.
+  master drives the exact prefix-tree frontier of the serial miner and
+  broadcasts each level's candidate ranges (``supports``), then the
+  survivor mask (``store``). A worker holds only its shard of the
+  frontier coverage and runs the serial engine's code on it: the
+  :func:`~repro.fpm.bitset.pair_tiles` tiles, the
+  :func:`~repro.fpm.bitset.and_pairs` AND, the support kernel and
+  :func:`~repro.fpm.transactions.plane_sums` for every channel, binary
+  or dense. The master finishes the merged sums with
+  :func:`~repro.fpm.transactions.channel_vectors`, as the serial miner
+  does.
 - Cancellation is cooperative and never orphans the pool: the master
   checkpoints while waiting on workers, and on abort it *drains* every
   in-flight reply, releases the per-run worker state, and leaves the
   pool reusable. A dead worker invalidates its pool (rebuilt on next
   use) and surfaces as a :class:`~repro.exceptions.MiningError`.
-
-When the one-hot outcome channels form a complete partition of the rows
-(no ⊥ rows: channels disjoint and covering), the engine carries only
-``k - 1`` channel bitmaps and reconstructs the last channel count as
-``support - sum(others)`` — exact in integers — halving channel
-traffic for the common (T, F) case.
-
-Rows with multiplicities (a dataset of distinct rows) shard like any
-rows. The multiplicity column rides as bit planes after the channel
-planes; workers count every support as the multiplicity sum of the
-covered rows through the serial engine's
-:func:`~repro.fpm.bitset.weighted_supports`.
-
-Non-binary (dense) channels — the fixed-point (Σw, Σw²) statistics of
-the continuous and ranking extensions — ride as their bit planes
-(:attr:`~repro.fpm.transactions.TransactionDataset.channel_planes`)
-after the item bitmaps, with the plane weights in the load message.
-Dense runs carry coverage only; workers sum survivors through the
-serial miner's kernel (:func:`~repro.fpm.transactions.plane_sums`) over
-a private copy of their planes, and the master adds ``support · vmin``
-after the int64 merge, so dense results stay bit-identical too.
 """
 
 from __future__ import annotations
@@ -70,19 +56,23 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.exceptions import MiningError
+from repro.fpm import transactions
 from repro.fpm.bitset import (
     _as_words,
+    and_pairs,
     candidate_pairs,
     candidate_starts,
     group_ends,
+    pair_tiles,
     weighted_supports,
 )
 from repro.fpm.miner import FrequentItemsets, Miner
 from repro.fpm.transactions import (
     TransactionDataset,
-    add_offsets,
+    channel_vectors,
     plan_shards,
     plane_sums,
+    popcount_rows,
     slice_packed_bits,
 )
 from repro.obs import get_registry, span
@@ -108,9 +98,6 @@ MAX_AUTO_WORKERS = 4
 
 # Seconds between cancellation checkpoints while waiting on workers.
 _POLL_SECONDS = 0.02
-# Words per support-pass tile (~1 MiB of uint64): bounds the working
-# set of the broadcast AND so survivor-heavy levels stay in cache.
-_WORD_TILE = 1 << 17
 
 
 # ----------------------------------------------------------------------
@@ -118,201 +105,113 @@ _WORD_TILE = 1 << 17
 # ----------------------------------------------------------------------
 
 
-def _worker_main(conn) -> None:
-    """Shard worker loop: holds one shard's coverage blocks.
+class _Shard:
+    """One worker's per-run state: its shard of the frontier coverage.
 
-    Per-run state lives in ``state`` and is dropped on ``release`` so a
-    pooled worker carries nothing between mining runs. The shared-memory
-    segment is closed as soon as the derived root blocks exist (the
-    ``roots`` step); only private copies survive it.
+    Built by ``load`` from private copies of the segment, which is
+    closed before the root counts go back; dropped on ``release`` so a
+    pooled worker carries nothing between mining runs.
     """
-    state: dict = {}
 
-    def _release() -> None:
-        shm = state.pop("shm", None)
-        state.clear()
-        if shm is not None:
-            try:
-                shm.close()
-            except OSError:
-                pass
+    def __init__(self, name, n_items, n_planes, words, weights, mult, tile):
+        # Attaching re-registers the name with the resource tracker;
+        # workers are forked after ensure_running(), so this is a
+        # duplicate add to the master's tracker set and the master's
+        # unlink clears it exactly once.
+        shm = shared_memory.SharedMemory(name=name)
+        n_rows = n_items + n_planes + (0 if mult is None else mult[0].shape[0])
+        # Explicit shape: an empty shard (words == 0) must still yield
+        # (n_items, 0) coverage, not a (0, 0) array.
+        arr = np.frombuffer(
+            shm.buf, dtype=np.uint64, count=n_rows * words
+        ).reshape(n_rows, words)
+        self.cov = arr[:n_items].copy()
+        planes = arr[n_items : n_items + n_planes].copy()
+        mult_planes = arr[n_items + n_planes :].copy()
+        # No view into the segment may outlive close() ("cannot close:
+        # exported pointers exist").
+        del arr
+        shm.close()
+        self.sums = plane_sums(planes, weights)
+        self.n_sums = weights.shape[1]
+        self.support = (
+            popcount_rows if mult is None else weighted_supports(mult_planes, *mult)
+        )
+        # Pairs per AND tile: the tile stays near ``tile`` words, so a
+        # level's working set stays in cache.
+        self.tile = max(1, tile // max(1, words))
+        self.buf = np.empty((0, words), dtype=np.uint64)
+        self.pairs: tuple[np.ndarray, np.ndarray] | None = None
 
+    def roots(self) -> np.ndarray:
+        """``[support, kernel sums...]`` of every item on this shard."""
+        return np.concatenate(
+            [self.support(self.cov)[:, None], self.sums(self.cov)], axis=1
+        )
+
+    def scratch(self, n: int) -> np.ndarray:
+        """An ``(n, words)`` AND buffer, grown but never reallocated
+        per tile."""
+        if len(self.buf) < n:
+            self.buf = np.empty((n, self.buf.shape[1]), dtype=np.uint64)
+        return self.buf[:n]
+
+    def supports(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Local supports of every candidate pair of one level."""
+        parent, cand = self.pairs = candidate_pairs(starts, ends)
+        out = np.empty(len(parent), dtype=np.int64)
+        for first, stop in pair_tiles(np.cumsum(ends - starts), self.tile):
+            p, c = parent[first:stop], cand[first:stop]
+            out[first:stop] = self.support(
+                and_pairs(self.cov, p, c, self.scratch(stop - first))
+            )
+        return out
+
+    def store(self, keep: np.ndarray, keep_block: bool) -> np.ndarray:
+        """Kernel sums of the survivors; with ``keep_block`` their
+        coverage becomes the next frontier."""
+        parent, cand = (pairs[keep] for pairs in self.pairs)
+        self.pairs = None
+        bounds = np.append(np.flatnonzero(np.diff(parent)) + 1, len(parent))
+        tiles = pair_tiles(bounds, self.tile)
+        if keep_block:
+            child = np.empty((len(parent), self.cov.shape[1]), dtype=np.uint64)
+            for first, stop in tiles:
+                p, c = parent[first:stop], cand[first:stop]
+                and_pairs(self.cov, p, c, child[first:stop])
+            self.cov = child
+            return self.sums(child)
+        # Final level: sums only, tile by tile through the scratch buffer.
+        out = np.empty((len(parent), self.n_sums), dtype=np.int64)
+        for first, stop in tiles:
+            p, c = parent[first:stop], cand[first:stop]
+            out[first:stop] = self.sums(
+                and_pairs(self.cov, p, c, self.scratch(stop - first))
+            )
+        return out
+
+
+def _worker_main(conn) -> None:
+    """Shard worker loop: one :class:`_Shard` per mining run."""
+    shard = None
     try:
         while True:
             msg = conn.recv()
-            kind = msg[0]
+            kind, args = msg[0], msg[1:]
             if kind == "shutdown":
-                _release()
                 conn.close()
                 return
             if kind == "load":
-                _, name, n_items, k, words, weights, mult = msg
-                # Attaching re-registers the name with the resource
-                # tracker; workers are forked after ensure_running(),
-                # so this is a duplicate add to the master's tracker
-                # set and the master's unlink clears it exactly once.
-                shm = shared_memory.SharedMemory(name=name)
-                # Channel planes follow the item bitmaps: k binary
-                # channel bitmaps, or the dense channels' bit planes.
-                n_planes = k if weights is None else weights.shape[0]
-                # Then the multiplicity planes, if the rows carry them.
-                n_mult = 0 if mult is None else mult[0].shape[0]
-                n_rows = n_items + n_planes + n_mult
-                # Explicit shape: an empty shard (words == 0) must
-                # still yield (n_items, 0) views, not a (0, 0) array.
-                arr = np.frombuffer(
-                    shm.buf, dtype=np.uint64, count=n_rows * words
-                ).reshape(n_rows, words)
-                planes_end = n_items + n_planes
-                state.update(
-                    shm=shm,
-                    item_w=arr[:n_items],
-                    chan_w=arr[n_items:planes_end],
-                    words=words,
-                    k=k,
-                    n_items=n_items,
-                    # Dense channels: a private copy of the planes (it
-                    # must survive the segment's close at roots) and
-                    # the kernel over them.
-                    sums=None
-                    if weights is None
-                    else plane_sums(arr[n_items:planes_end].copy(), weights),
-                    support=None
-                    if mult is None
-                    else weighted_supports(arr[planes_end:].copy(), *mult),
-                )
-                chan_w = state["chan_w"]
-                if k and words and weights is None:
-                    union = np.bitwise_or.reduce(chan_w, axis=0)
-                    or_popc = int(np.bitwise_count(union).sum(dtype=np.int64))
-                    sum_popc = int(
-                        np.bitwise_count(chan_w).sum(dtype=np.int64)
-                    )
-                else:
-                    or_popc = sum_popc = 0
-                # Keep only the state-held views alive: a lingering
-                # local would block shm.close() at the roots step
-                # ("cannot close: exported pointers exist").
-                del arr, chan_w
-                conn.send((or_popc, sum_popc))
-            elif kind == "roots":
-                kk = msg[1]
-                item_w = state.pop("item_w")
-                chan_w = state.pop("chan_w")
-                words = state["words"]
-                n_items = state["n_items"]
-                B = np.empty((n_items, 1 + kk, words), dtype=np.uint64)
-                B[:, 0, :] = item_w
-                if kk:
-                    np.bitwise_and(
-                        item_w[:, None, :], chan_w[None, :kk, :], out=B[:, 1:, :]
-                    )
-                counts = np.bitwise_count(B).sum(axis=-1, dtype=np.int64)
-                if state["support"] is not None:
-                    counts[:, 0] = state["support"](B[:, 0])
-                if state["sums"] is not None:
-                    # Dense: every root's offset sums, merged by int64
-                    # addition at the master like the counts.
-                    counts = np.concatenate(
-                        [counts, state["sums"](B[:, 0])], axis=1
-                    )
-                # The derived blocks are private copies: drop every view
-                # into the segment and close it now, so the master can
-                # unlink without any exported-pointer noise.
-                del item_w, chan_w
-                shm = state.pop("shm", None)
-                if shm is not None:
-                    shm.close()
-                state["B"] = B
-                state["kk"] = kk
-                conn.send(counts)
+                shard = _Shard(*args)
+                conn.send(shard.roots())
             elif kind == "keep_roots":
-                state["B"] = np.ascontiguousarray(state["B"][msg[1]])
+                shard.cov = shard.cov[args[0]]
             elif kind == "supports":
-                _, starts, ends, total = msg
-                B = state["B"]
-                w = state["words"]
-                support = state["support"]
-                # Candidates per AND tile: the broadcast AND of a huge
-                # sibling run never spills the cache.
-                tile = max(1, _WORD_TILE // max(w, 1))
-                buf = state.get("buf")
-                if buf is None or buf.shape != (tile, w):
-                    buf = np.empty((tile, w), dtype=np.uint64)
-                    state["buf"] = buf
-                sups = np.empty(total, dtype=np.int64)
-                pos = 0
-                for j in range(len(starts)):
-                    for a in range(starts[j], ends[j], tile):
-                        e = min(a + tile, ends[j])
-                        b = buf[: e - a]
-                        np.bitwise_and(B[j, 0][None, :], B[a:e, 0], out=b)
-                        if support is None:
-                            np.bitwise_count(b, out=b)
-                            sups[pos : pos + e - a] = b.sum(axis=1, dtype=np.int64)
-                        else:
-                            sups[pos : pos + e - a] = support(b)
-                        pos += e - a
-                conn.send(sups)
+                conn.send(shard.supports(*args))
             elif kind == "store":
-                _, nodes, offs, rows, n_next, keep_block = msg
-                B = state["B"]
-                kk = state["kk"]
-                w = state["words"]
-                sums = state["sums"]
-                out_cols = kk if sums is None else state["k"]
-                ch_counts = np.empty((n_next, out_cols), dtype=np.int64)
-                max_m = int((offs[1:] - offs[:-1]).max()) if len(nodes) else 0
-                scratch = np.empty(
-                    (max(max_m, 1), max(kk, 1), w), dtype=np.uint64
-                )
-                if keep_block:
-                    # Survivor blocks are written straight into the next
-                    # level's array — no per-level concatenation.
-                    NB = np.empty((n_next, 1 + kk, w), dtype=np.uint64)
-                    c = 0
-                    for i in range(len(nodes)):
-                        j = nodes[i]
-                        rv = rows[offs[i] : offs[i + 1]]
-                        m = len(rv)
-                        np.bitwise_and(
-                            B[j, 0][None, :], B[rv, 0], out=NB[c : c + m, 0]
-                        )
-                        if kk:
-                            np.bitwise_and(
-                                B[j, 1:][None, :, :],
-                                B[rv, 1:],
-                                out=NB[c : c + m, 1:],
-                            )
-                            s = scratch[:m, :kk]
-                            np.bitwise_count(NB[c : c + m, 1:], out=s)
-                            ch_counts[c : c + m] = s.sum(axis=-1, dtype=np.int64)
-                        c += m
-                    if sums is not None:
-                        ch_counts = sums(NB[:, 0])
-                    state["B"] = NB
-                else:
-                    # Final level: counts only, skip materializing the
-                    # next block entirely (dense channels still need the
-                    # survivor coverage, ANDed into scratch).
-                    c = 0
-                    for i in range(len(nodes)):
-                        j = nodes[i]
-                        rv = rows[offs[i] : offs[i + 1]]
-                        m = len(rv)
-                        if kk:
-                            s = scratch[:m, :kk]
-                            np.bitwise_and(B[j, 1:][None, :, :], B[rv, 1:], out=s)
-                            np.bitwise_count(s, out=s)
-                            ch_counts[c : c + m] = s.sum(axis=-1, dtype=np.int64)
-                        elif sums is not None:
-                            s = scratch[:m, 0]
-                            np.bitwise_and(B[j, 0][None, :], B[rv, 0], out=s)
-                            ch_counts[c : c + m] = sums(s)
-                        c += m
-                conn.send(ch_counts)
+                conn.send(shard.store(*args))
             elif kind == "release":
-                _release()
+                shard = None
                 conn.send("ok")
     except (EOFError, OSError, KeyboardInterrupt):
         # Master went away (or is shutting down); exit quietly.
@@ -568,18 +467,15 @@ def mine_sharded(
 def _export_shards(pool: _ShardPool, dataset: TransactionDataset) -> list:
     """Slice, pad and publish each shard through shared memory.
 
-    Each segment holds the shard's item bitmaps followed by its channel
-    planes (:attr:`~repro.fpm.transactions.TransactionDataset.
-    channel_planes`): the binary channel bitmaps, or the dense channels'
-    bit planes, whose weights ride in the load message; then, for rows
-    with multiplicities, the multiplicity planes, likewise.
+    Each segment holds the shard's item bitmaps, then its kernel planes
+    (:attr:`~repro.fpm.transactions.TransactionDataset.kernel_planes`),
+    whose weights ride in the load message; then, for rows with
+    multiplicities, the multiplicity planes, likewise.
     """
-    k = dataset.n_channels
     n_items = dataset.catalog.n_items
     bounds = plan_shards(dataset.n_physical, pool.n)
-    planes, weights, _ = dataset.channel_planes
+    planes, weights, _ = dataset.kernel_planes
     blocks = [dataset.packed_item_bitmaps, planes]
-    dense_weights = None if dataset.channels_binary else weights
     mult = None
     if dataset.multiplicity is not None:
         mult_planes, mult_weights, mult_vmin = dataset.layer.multiplicity_planes
@@ -602,10 +498,9 @@ def _export_shards(pool: _ShardPool, dataset: TransactionDataset) -> list:
             )
             del view  # release the exported buffer before any close()
         segments.append(segment)
-        pool.send(
-            index,
-            ("load", segment.name, n_items, k, words, dense_weights, mult),
-        )
+        message = (segment.name, n_items, len(planes), words, weights, mult)
+        # The tile rides along: workers forked earlier see it too.
+        pool.send(index, ("load", *message, transactions._PLANE_TILE))
     return segments
 
 
@@ -616,10 +511,8 @@ def _mine_into(
     max_length: int | None,
     levels: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
-    n = dataset.n_rows
     k = dataset.n_channels
-    dense = not dataset.channels_binary
-    vmin = dataset.channel_planes[2]
+    vmin = dataset.kernel_planes[2]
     catalog = dataset.catalog
     registry = get_registry()
 
@@ -627,24 +520,10 @@ def _mine_into(
     try:
         with span("fpm.shard.export"):
             segments = _export_shards(pool, dataset)
-            stats = pool.gather()
-            # Complete-partition detection must aggregate over shards:
-            # one shard can look complete while another holds the ⊥
-            # rows whose channels are all zero. Dense shards report
-            # (0, 0), so they can never register as complete.
-            or_total = sum(s[0] for s in stats)
-            sum_total = sum(s[1] for s in stats)
-            # The totals count stored rows: on distinct rows they reach
-            # n (transactions) only when every multiplicity is 1.
-            complete = not dense and k >= 1 and or_total == n and sum_total == n
-            # Dense runs carry coverage only; workers sum the channels
-            # through their private planes.
-            kk = 0 if dense else (k - 1 if complete else k)
-            pool.broadcast(("roots", kk))
-            root_counts = sum(pool.gather())
+            roots = sum(pool.gather())
     finally:
-        # Workers closed their handles when building roots (or will on
-        # release); the segments themselves are dead weight from here.
+        # Workers closed their handles in ``load`` (or died); the
+        # segments are dead weight from here.
         for segment in segments:
             try:
                 segment.close()
@@ -652,63 +531,45 @@ def _mine_into(
             except OSError:
                 pass
 
-    def full(sup: np.ndarray, ch: np.ndarray) -> np.ndarray:
-        if dense:
-            # Workers sum offsets from the channel minima; the merged
-            # support restores them.
-            ch = add_offsets(ch, sup, vmin)
-        if not complete:
-            return np.concatenate([sup[:, None], ch], axis=1)
-        last = sup - ch.sum(axis=1)
-        return np.concatenate([sup[:, None], ch, last[:, None]], axis=1)
-
     with span("fpm.shard.merge"):
-        root_support = root_counts[:, 0]
-        frequent = root_support >= min_count
-        freq_items = np.flatnonzero(frequent)
+        frequent = roots[:, 0] >= min_count
     pool.broadcast(("keep_roots", frequent), replies=False)
     with span("fpm.shard.merge"):
-        root_vectors = full(root_support[frequent], root_counts[frequent, 1:])
-        keys = freq_items.astype(np.uint32)[:, None]
-        levels.append((keys, root_vectors))
+        roots = roots[frequent]
+        keys = np.flatnonzero(frequent).astype(np.uint32)[:, None]
+        levels.append((keys, channel_vectors(roots[:, 0], roots[:, 1:], vmin, k)))
         group_end = np.full(len(keys), len(keys))
         starts = candidate_starts(keys[:, -1], group_end, catalog)
 
     # The frontier is the serial miner's: key matrix, candidate ranges.
     while max_length is None or keys.shape[1] < max_length:
         checkpoint("fpm.shard.level")
-        total = int((group_end - starts).sum())
-        if total == 0:
+        if not (group_end - starts).any():
             break
         registry.counter("fpm.shard.levels").inc()
-        pool.broadcast(("supports", starts, group_end, total))
+        pool.broadcast(("supports", starts, group_end))
         with span("fpm.shard.count"):
             supports = sum(pool.gather())
         with span("fpm.shard.merge"):
-            parent, rows = candidate_pairs(starts, group_end)
             keep = supports >= min_count
             if not keep.any():
                 break
-            parent, rows = parent[keep], rows[keep]
-            # Survivors of one node are one run of ``rows``.
-            offs = np.flatnonzero(np.diff(parent, prepend=-1))
-            nodes = parent[offs]
-            offs = np.append(offs, len(parent))
-            keys = np.concatenate([keys[parent], keys[rows, -1:]], axis=1)
+            parent, cand = candidate_pairs(starts, group_end)
+            parent, cand = parent[keep], cand[keep]
+            keys = np.concatenate([keys[parent], keys[cand, -1:]], axis=1)
             group_end = group_ends(parent)
             starts = candidate_starts(keys[:, -1], group_end, catalog)
             # When the next level cannot produce candidates (length cap
             # hit, or no cross-column siblings anywhere) the workers
-            # count channels without materializing the next block at
-            # all — the largest write on survivor-heavy runs.
+            # sum channels without materializing the next frontier —
+            # the largest write on survivor-heavy runs.
             keep_block = bool((group_end - starts).any()) and (
                 max_length is None or keys.shape[1] < max_length
             )
-        pool.broadcast(("store", nodes, offs, rows, len(rows), keep_block))
+        pool.broadcast(("store", keep, keep_block))
         with span("fpm.shard.count"):
-            channel_counts = sum(pool.gather())
+            sums = sum(pool.gather())
         with span("fpm.shard.merge"):
-            vectors = full(supports[keep], channel_counts)
-            levels.append((keys, vectors))
+            levels.append((keys, channel_vectors(supports[keep], sums, vmin, k)))
         if not keep_block:
             break

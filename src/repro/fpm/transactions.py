@@ -201,6 +201,43 @@ def add_offsets(
     return (sums.view(np.uint64) + shifted).view(np.int64)
 
 
+def partitions_rows(
+    channels: np.ndarray, multiplicity: np.ndarray | None = None
+) -> bool:
+    """Whether every row's channels sum to its multiplicity (1 without).
+
+    Then any itemset's last channel sum is its support less the other
+    channels' sums, exact mod 2**64, and the miners never sum it
+    (:func:`channel_vectors`): one-hot outcomes with no ⊥ row, or their
+    per-row counts on distinct rows. One column add per channel.
+    """
+    if channels.shape[1] == 0:
+        return False
+    total = channels[:, 0].copy()
+    for column in channels.T[1:]:
+        total += column
+    return bool((total == (1 if multiplicity is None else multiplicity)).all())
+
+
+def channel_vectors(
+    supports: np.ndarray, sums: np.ndarray, vmin: np.ndarray, n_channels: int
+) -> np.ndarray:
+    """``[support, Σ_1, ..., Σ_k]`` rows from the channel-sum kernel.
+
+    ``sums`` are :func:`plane_sums` over :attr:`TransactionDataset.
+    kernel_planes` and ``vmin`` their minima. Restores the minima and,
+    when the kernel summed only ``k - 1`` channels
+    (:func:`partitions_rows`), the last as ``support - Σ others``, all
+    mod 2**64 like int64 sums.
+    """
+    if vmin.any():
+        sums = add_offsets(sums, supports, vmin)
+    columns = [supports[:, None], sums]
+    if sums.shape[1] < n_channels:
+        columns.append((supports - sums.sum(axis=1))[:, None])
+    return np.concatenate(columns, axis=1)
+
+
 def exact_bincount(
     index: np.ndarray, values: np.ndarray, length: int
 ) -> np.ndarray:
@@ -659,6 +696,7 @@ class TransactionDataset:
         # Lazily built channel caches (bitmaps, planes, fingerprint).
         self._packed_channels: np.ndarray | None = None
         self._channel_planes: tuple[np.ndarray, ...] | None = None
+        self._kernel_planes: tuple[np.ndarray, ...] | None = None
         self._channels_binary: bool | None = None
         self._fingerprint: str | None = None
 
@@ -783,7 +821,7 @@ class TransactionDataset:
         elif self._channels_binary is not True:
             self._channels_binary = None  # re-derive lazily over all rows
         # The batch can move a channel's minimum or widen its range.
-        self._channel_planes = None
+        self._channel_planes = self._kernel_planes = None
         # A grown dataset is a different dataset: a stale fingerprint
         # here would alias MiningCache entries of the pre-append state.
         self._fingerprint = None
@@ -910,6 +948,31 @@ class TransactionDataset:
                     self.channels, self.multiplicity
                 )
         return self._channel_planes
+
+    @property
+    def kernel_planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(planes, weights, vmin)`` the miners sum channels over.
+
+        :attr:`channel_planes`, less the last channel when the channels
+        partition every stored row (:func:`partitions_rows`);
+        :func:`channel_vectors` restores it from the support. Built at
+        the first mine, cached, dropped by :meth:`extend`.
+        """
+        if self._kernel_planes is None:
+            k = self.n_channels
+            if not partitions_rows(self.channels, self.multiplicity):
+                self._kernel_planes = self.channel_planes
+            elif self.channels_binary:
+                self._kernel_planes = (
+                    self.packed_channel_bitmaps[:-1],
+                    np.eye(k - 1, dtype=np.int64),
+                    np.zeros(k - 1, dtype=np.int64),
+                )
+            else:
+                self._kernel_planes = bit_planes(
+                    self.channels[:, :-1], self.multiplicity
+                )
+        return self._kernel_planes
 
     def fingerprint(self) -> str:
         """Content hash identifying (layer, channels) exactly.

@@ -22,6 +22,7 @@ from repro.approx import SampleDesign, progressive_explore
 from repro.core.divergence import DivergenceExplorer
 from repro.fpm.sharded import shutdown_pools
 from repro.tabular.table import Table
+from tests.oracles import stable_ranks_reference
 
 
 def build_explorer(seed: int, n_rows: int = 1536) -> DivergenceExplorer:
@@ -204,3 +205,41 @@ class TestCoverageCalibration:
         lo_a, hi_a = nearly_all.ci_for_key(key)
         lo_s, hi_s = small.ci_for_key(key)
         assert (hi_a - lo_a) < (hi_s - lo_s)
+
+
+class TestStableRanksMatchWholeTable:
+    """``stable_ranks`` ranks only the top k; the whole-table version
+    (``tests/oracles.py``) ranks every pattern. Coarse random data gives
+    ties on every ranking key, and a small sample gives all-BOTTOM
+    (NaN-rate) patterns."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_rows=st.sampled_from((640, 1600)),
+        sample=st.sampled_from((0.2, 0.5)),
+        confidence=st.sampled_from((0.5, 0.9)),
+    )
+    def test_equals_whole_table_version(self, seed, n_rows, sample, confidence):
+        rng = np.random.default_rng(seed)
+        table = Table.from_dict(
+            {
+                "a": rng.integers(0, 3, n_rows).tolist(),
+                "b": rng.integers(0, 2, n_rows).tolist(),
+                "c": rng.integers(0, 2, n_rows).tolist(),
+                "class": rng.integers(0, 2, n_rows).tolist(),
+                "pred": rng.integers(0, 2, n_rows).tolist(),
+            }
+        )
+        explorer = DivergenceExplorer(
+            table, "class", "pred", attributes=["a", "b", "c"]
+        )
+        result = explorer.explore(
+            "fpr", min_support=0.02, sample=sample, confidence=confidence
+        )
+        assert result.approximate
+        for by in ("divergence", "abs_divergence", "support", "t_statistic", "rate"):
+            for k in (0, 1, 3, 10, 10_000):
+                assert result.stable_ranks(k, by) == stable_ranks_reference(
+                    result, k, by
+                ), (by, k)

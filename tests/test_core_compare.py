@@ -17,12 +17,10 @@ from hypothesis import strategies as st
 from repro.core.compare import (
     CompareResult,
     compare_results,
-    compare_results_reference,
     delta_columns,
     delta_divergence_score,
     explore_compare,
     regressions,
-    regressions_reference,
     resolve_models,
 )
 from repro.core.divergence import DivergenceExplorer
@@ -31,6 +29,7 @@ from repro.exceptions import DatasetError, ReproError
 from repro.fpm.cache import MiningCache
 from repro.tabular.column import CategoricalColumn
 from repro.tabular.table import Table
+from tests.oracles import compare_results_reference, regressions_reference
 
 
 def _same_float(x: float, y: float) -> bool:

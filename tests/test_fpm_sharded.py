@@ -10,12 +10,15 @@ shard plan in its keys — also pinned here.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import MiningError, ReproError
+from repro.fpm import transactions
 from repro.fpm.cache import MiningCache
 from repro.fpm.miner import mine_frequent
 from repro.fpm.sharded import (
@@ -28,6 +31,7 @@ from repro.fpm.sharded import (
 )
 from repro.fpm.transactions import (
     ItemCatalog,
+    ItemLayer,
     TransactionDataset,
     plan_shards,
 )
@@ -272,3 +276,67 @@ class TestExplorerIntegration:
         assert set(serial.divergence_map) == set(sharded.divergence_map)
         for key, value in serial.divergence_map.items():
             np.testing.assert_equal(sharded.divergence_map[key], value)
+
+
+def worker_pin_dataset(rng, kind: str, n: int, workers: int) -> TransactionDataset:
+    """A dataset of one channel kind the coverage-only workers must sum."""
+    card = 2 if kind == "grouped" else 3
+    attrs = 3 if kind == "grouped" else 4
+    matrix = rng.integers(0, card, size=(n, attrs), dtype=np.int32)
+    catalog = ItemCatalog(
+        [f"a{j}" for j in range(attrs)], [list(range(card))] * attrs
+    )
+    if kind == "dense":
+        # Fixed-point channels: many bit planes, negative minima.
+        channels = rng.integers(-(2**20), 2**20, size=(n, 2))
+        return TransactionDataset(matrix, catalog, channels)
+    k = 3 if kind == "grouped" else 2
+    channels = np.eye(k, dtype=np.int64)[rng.integers(0, k, n)]
+    if kind == "grouped":
+        # One-hot (T, F, ⊥) summed per distinct row: the channels
+        # partition each row's multiplicity.
+        layer = ItemLayer(matrix, catalog, group=True)
+        assert layer.multiplicity is not None
+        return layer.dataset(channels)
+    if kind == "bottom":
+        # ⊥ rows in one shard only: the other shards look complete.
+        bounds = plan_shards(n, workers)
+        shard = int(rng.choice(np.flatnonzero(np.diff(bounds))))
+        rows = np.arange(bounds[shard], bounds[shard + 1])
+        channels[rows[rng.random(len(rows)) < 0.5]] = 0
+        channels[rows[0]] = 0
+    return TransactionDataset(matrix, catalog, channels)
+
+
+class TestCoverageOnlyWorkers:
+    """Workers hold coverage only and run the serial engine's tiles; the
+    last channel of a row partition is restored from the support."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["complete", "grouped", "bottom", "dense"]),
+        n=st.sampled_from((70, 150, 190)),
+        workers=st.integers(2, 3),
+        max_length=st.sampled_from((None, 1, 2, 3)),
+        pairs=st.integers(1, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sharded_equals_serial_and_bruteforce(
+        self, seed, kind, n, workers, max_length, pairs
+    ):
+        rng = np.random.default_rng(seed)
+        dataset = worker_pin_dataset(rng, kind, n, workers)
+        complete = kind in ("complete", "grouped")
+        kernel_channels = dataset.kernel_planes[1].shape[1]
+        assert kernel_channels == dataset.n_channels - complete
+        want = mine_frequent(
+            dataset, 0.02, algorithm="bruteforce", max_length=max_length
+        )
+        serial = mine_frequent(dataset, 0.02, max_length=max_length)
+        assert_identical(serial, want)
+        # Pools fork before the patch: the tile reaches the workers in
+        # the load message, 1-3 pairs on shards of one or two words.
+        get_pool(workers)
+        with mock.patch.object(transactions, "_PLANE_TILE", pairs):
+            sharded = mine_sharded(dataset, 0.02, workers, max_length=max_length)
+        assert_identical(sharded, want)

@@ -9,6 +9,7 @@ constructor — and a held result must keep no Python object per itemset.
 """
 
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 
 from repro import DivergenceExplorer, datasets
 from repro.exceptions import MiningError
-from repro.fpm.miner import FrequentItemsets, mine_frequent
+from repro.fpm import miner as miner_module
+from repro.fpm.miner import FrequentItemsets, mine_frequent, pack_keys
 from repro.fpm.transactions import ItemCatalog, TransactionDataset
+from tests.oracles import pack_keys_reference
 
 CATALOG = ItemCatalog(
     ["a", "b", "c", "d"], [[0, 1, 2], [0, 1], [0, 1, 2, 3], [0, 1]]
@@ -150,3 +153,31 @@ def test_held_result_keeps_no_object_per_itemset():
     held = len(gc.get_objects()) - before
     assert len(result) > 15_000
     assert held < 100, held
+
+
+# Ids around both ends of the valid range [0, 2**32 - 2).
+_IDS = st.one_of(
+    st.integers(0, 40),
+    st.sampled_from([-(2**40), -1, 2**32 - 3, 2**32 - 2, 2**32 - 1, 2**40]),
+)
+
+
+@given(
+    itemsets=st.lists(
+        st.tuples(
+            st.lists(_IDS, max_size=7), st.sampled_from([list, tuple, frozenset])
+        ).map(lambda pair: pair[1](pair[0])),
+        max_size=30,
+    ),
+    per_key_max=st.sampled_from([0, miner_module._PER_KEY_MAX]),
+)
+def test_pack_keys_matches_per_key_version(itemsets, per_key_max):
+    # Any order, repeats, empty sets and out-of-range ids, through the
+    # per-key and the array path.
+    want = pack_keys_reference(itemsets)
+    with mock.patch.object(miner_module, "_PER_KEY_MAX", per_key_max):
+        got = pack_keys(itemsets)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # One-shot iterables, inner and outer, pack the same.
+        got = pack_keys(iter(s) for s in itemsets)
+        assert np.array_equal(got, want)

@@ -14,12 +14,13 @@ import pytest
 
 from repro.core.corrective import find_corrective_items
 from repro.core.divergence import DivergenceExplorer
-from repro.core.global_divergence import (
-    global_item_divergence,
-    global_item_divergence_reference,
-)
-from repro.core.pruning import prune_redundant, prune_redundant_reference
+from repro.core.global_divergence import global_item_divergence
+from repro.core.pruning import prune_redundant
 from repro.datasets import load
+from tests.oracles import (
+    global_item_divergence_reference,
+    prune_redundant_reference,
+)
 
 pytestmark = pytest.mark.slow
 

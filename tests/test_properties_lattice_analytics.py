@@ -16,29 +16,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.corrective import (
-    find_corrective_items,
-    find_corrective_items_reference,
-)
+from repro.core.corrective import find_corrective_items
 from repro.core.divergence import DivergenceExplorer
-from repro.core.global_divergence import (
-    global_item_divergence,
-    global_item_divergence_reference,
-)
+from repro.core.global_divergence import global_item_divergence
 from repro.core.pruning import (
     is_redundant,
-    is_redundant_reference,
     prune_redundant,
-    prune_redundant_reference,
     pruned_count_by_epsilon,
 )
-from repro.core.shapley import (
-    shapley_batch,
-    shapley_contributions_reference,
-    shapley_efficiency_gap,
-)
+from repro.core.shapley import shapley_batch, shapley_efficiency_gap
 from repro.tabular.column import CategoricalColumn
 from repro.tabular.table import Table
+from tests.oracles import (
+    find_corrective_items_reference,
+    global_item_divergence_reference,
+    is_redundant_reference,
+    prune_redundant_reference,
+    shapley_contributions_reference,
+)
 
 ALGORITHMS = ("bitset", "fpgrowth", "apriori", "eclat")
 
