@@ -41,8 +41,10 @@ QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 # Latency configs: (rows, layer). The explore layer times the public
 # DivergenceExplorer.explore(sample="auto") path end to end (sampling
-# included); the mine layer times the raw miner on a pre-packed
-# dataset, which is how the 10M case avoids a 10M-row Table build.
+# included); the mine layer times sample_dataset plus the raw miner on
+# a pre-packed dataset, which is how the 10M case avoids a 10M-row
+# Table build. The sample is built from its gathered rows and packs
+# its own bitmaps either way.
 LATENCY_CONFIGS = (
     [(50_000, "explore"), (200_000, "mine")]
     if QUICK
@@ -139,7 +141,8 @@ def test_approx_latency(report):
                 )
             )
             # First sampled answer: includes drawing the block sample
-            # (design build + packed byte-copy) plus mining it.
+            # (design build + row gather + packing the sample) plus
+            # mining it.
             sampled_seconds, sampled = timed(
                 lambda: explorer.explore(
                     "error", min_support=SUPPORT, max_length=MAX_LENGTH,

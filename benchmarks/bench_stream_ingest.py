@@ -1,12 +1,14 @@
-"""Streaming ingestion — incremental append vs full rebuild.
+"""Streaming ingestion — append one batch vs rebuild the history.
 
 The case for :class:`~repro.stream.ingest.StreamBuffer`: a monitor that
-re-packed the whole history on every batch would pay ``O(total)`` per
-batch, while the incremental buffer packs only the batch's bits at the
-current offset (``O(batch)``). This bench streams a synthetic labeled
-stream to 50k+ rows and compares, at full accumulation, the cost of
-appending one more batch against rebuilding a ``TransactionDataset``
-(packed bitmaps + fingerprint, the state a re-mine needs) from scratch.
+rebuilt a ``TransactionDataset`` over the whole history on every batch
+would pay ``O(total)`` per batch, while the buffer copies only the
+batch's rows into amortized-doubling row buffers (``O(batch)``); each
+window is then built from its own rows, never from the history. This
+bench streams a synthetic labeled stream to 50k+ rows and compares, at
+full accumulation, the cost of appending one more batch against
+rebuilding a ``TransactionDataset`` (packed bitmaps + fingerprint, the
+state a re-mine needs) over every row.
 
 Writes ``BENCH_stream_ingest.json`` at the repo root; set
 ``REPRO_BENCH_QUICK=1`` to run a smoke-sized stream without the
@@ -79,7 +81,7 @@ def test_stream_ingest_append_vs_rebuild(benchmark, report):
             rebuild_cost, matrix, channels, catalog
         )
 
-    # The streamed bitmaps must equal the rebuilt ones bit for bit.
+    # The buffer's dataset must pack the same bitmaps as the rebuild.
     reference = rebuild_cost(matrix, channels, catalog)
     np.testing.assert_array_equal(
         buffer.dataset().packed_item_bitmaps, reference.packed_item_bitmaps

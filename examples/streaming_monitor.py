@@ -4,8 +4,8 @@ Replays the COMPAS dataset as a shuffled stream of prediction batches
 through :class:`repro.stream.DivergenceMonitor`, with a synthetic drift
 injected halfway: from that point on, the false-positive outcomes of
 the ``race=African-American`` subgroup are flipped upward. Every window
-is re-mined incrementally (packed bitmaps are appended, never rebuilt),
-aligned with its predecessor by canonical itemset key, and scored for
+is re-mined as it completes (built from its own rows, never from the
+whole history), aligned with its predecessor by canonical itemset key, and scored for
 divergence shifts — the alert timeline shows the injected subgroup
 surfacing within a window of the injection.
 

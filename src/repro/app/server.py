@@ -60,6 +60,7 @@ from repro.exceptions import ReproError
 from repro.obs import get_registry
 from repro.params import (
     validate_acked,
+    validate_algorithm,
     validate_alert_threshold,
     validate_bins,
     validate_confidence,
@@ -772,7 +773,7 @@ class _MonitorSession:
             window=validate_window(params.get("window", "512")),
             step=validate_step(params.get("step")),
             min_support=validate_support(params.get("support", "0.1")),
-            algorithm=params.get("algorithm", "bitset"),
+            algorithm=validate_algorithm(params.get("algorithm", "bitset")),
             n_workers=(
                 validate_workers(params["workers"])
                 if "workers" in params

@@ -1,14 +1,12 @@
-"""Seeded packed-bitmap row sampling for progressive exploration.
+"""Seeded block row sampling for progressive exploration.
 
-The sampler never walks individual rows: it partitions the dataset into
-64-aligned row *blocks* (:func:`repro.fpm.transactions.plan_shards`),
-draws a seeded permutation of the blocks, and materializes a sample as
-the ascending concatenation of a permutation prefix. Because interior
-block boundaries are byte-aligned, gathering the packed vertical
-bitmaps of a sample is a pure byte copy
-(:func:`repro.fpm.transactions.sample_rows_packed`) — sampling a
-10M-row dataset touches ``O(sample)`` bytes and never materializes
-unpacked rows.
+The sampler partitions the dataset into 64-aligned row *blocks*
+(:func:`repro.fpm.transactions.plan_shards`), draws a seeded
+permutation of the blocks, and materializes a sample as the ascending
+concatenation of a permutation prefix: the sample's encoded rows and
+channels are gathered by row index into a new ``TransactionDataset``,
+which packs its own bitmaps at the first mine. Sampling a 10M-row
+dataset therefore costs ``O(sample)`` and never packs the full rows.
 
 Prefix selection makes samples *nested*: the rows of a smaller sample
 are a subset of every larger sample under the same seed, which is what
@@ -28,11 +26,7 @@ import numpy as np
 
 from repro.datasets.sampling import seeded_generator
 from repro.exceptions import ReproError
-from repro.fpm.transactions import (
-    TransactionDataset,
-    plan_shards,
-    sample_rows_packed,
-)
+from repro.fpm.transactions import TransactionDataset, plan_shards
 
 # Row blocks are at least one shard-alignment unit (64 rows); the block
 # count is capped so the permutation and the per-sample index gather
@@ -118,12 +112,8 @@ class SampleDesign:
         return int(self._cum[self._prefix_length(target_rows) - 1])
 
     def blocks_for(self, target_rows: int) -> list[tuple[int, int]]:
-        """Row blocks of the sample, ascending by start.
-
-        Ascending order keeps the concatenated sample byte-alignable:
-        only the dataset's final block can have a partial byte, and
-        sorting puts it last.
-        """
+        """Row blocks of the sample, ascending by start, so the sample
+        keeps the dataset's row order."""
         k = self._prefix_length(target_rows)
         return sorted(self._blocks[:k])
 
@@ -146,10 +136,8 @@ def sample_dataset(
 
     Returns ``dataset`` itself when the target covers every row (the
     exact path — bit-identical by construction). Otherwise gathers the
-    encoded matrix and channels by row index and, when the parent's
-    packed bitmaps are already built, gathers them block-wise as pure
-    byte copies; unbuilt bitmaps are left for the (small) sample to
-    pack lazily, so taking a sample never forces a full-dataset pack.
+    encoded matrix and channels by row index into a new dataset, so
+    taking a sample never forces a full-dataset pack.
     """
     if dataset.multiplicity is not None:
         raise ReproError("samples are drawn from original rows, not distinct ones")
@@ -160,22 +148,7 @@ def sample_dataset(
         )
     if design.rows_for(target_rows) >= dataset.n_rows:
         return dataset
-    blocks = design.blocks_for(target_rows)
     index = design.row_index(target_rows)
-    matrix = dataset.matrix[index]
-    channels = dataset.channels[index] if dataset.n_channels else None
-    packed_items = None
-    packed_channels = None
-    if dataset.packed_items_built:
-        packed_items = sample_rows_packed(dataset.packed_item_bitmaps, blocks)
-    if dataset.packed_channels_built:
-        packed_channels = sample_rows_packed(
-            dataset.packed_channel_bitmaps, blocks
-        )
-    return TransactionDataset.from_packed(
-        matrix,
-        dataset.catalog,
-        channels,
-        packed_items=packed_items,
-        packed_channels=packed_channels,
+    return TransactionDataset(
+        dataset.matrix[index], dataset.catalog, dataset.channels[index]
     )

@@ -41,6 +41,7 @@ from repro.datasets import DATASET_NAMES, dataset_characteristics, load
 from repro.exceptions import ReproError
 from repro.experiments.report import divergence_report
 from repro.experiments.tables import format_table
+from repro.fpm.miner import ALGORITHMS
 from repro.obs import render_profile, span
 from repro.params import (
     validate_alert_threshold,
@@ -139,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metric", default="fpr")
         p.add_argument("--support", type=float, default=0.1)
         p.add_argument("--algorithm", default="bitset",
-                       choices=["bitset", "fpgrowth", "apriori", "eclat",
-                                "bruteforce"])
+                       choices=ALGORITHMS)
         p.add_argument("--workers", type=_arg(validate_workers), default=None,
                        help="mining worker processes: 0 auto, 1 serial, "
                             ">=2 row-sharded (identical results)")
@@ -206,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--metric", default="fpr")
     p_cmp.add_argument("--support", type=_arg(validate_support), default=0.1)
     p_cmp.add_argument("--algorithm", default="bitset",
-                       choices=["bitset", "fpgrowth", "apriori", "eclat",
-                                "bruteforce"])
+                       choices=ALGORITHMS)
     p_cmp.add_argument("--workers", type=_arg(validate_workers), default=None,
                        help="mining worker processes: 0 auto, 1 serial, "
                             ">=2 row-sharded (identical results)")
@@ -239,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "logistic, naive-bayes)")
     p_rank.add_argument("--support", type=_arg(validate_support), default=0.1)
     p_rank.add_argument("--algorithm", default="bitset",
-                        choices=["bitset", "fpgrowth", "apriori", "eclat",
-                                 "bruteforce"])
+                        choices=ALGORITHMS)
     p_rank.add_argument("--workers", type=_arg(validate_workers), default=None,
                         help="mining worker processes: 0 auto, 1 serial, "
                              ">=2 row-sharded (identical results)")
@@ -261,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mon.add_argument("--metric", default="fpr")
     p_mon.add_argument("--support", type=_arg(validate_support), default=0.1)
     p_mon.add_argument("--algorithm", default="bitset",
-                       choices=["bitset", "fpgrowth", "apriori", "eclat",
-                                "bruteforce"])
+                       choices=ALGORITHMS)
     p_mon.add_argument("--workers", type=_arg(validate_workers), default=None,
                        help="mining worker processes for window re-mining: "
                             "0 auto, 1 serial, >=2 row-sharded")

@@ -88,7 +88,7 @@ class DivergenceExplorer:
         # Progressive-sampling state: one block permutation per seed and
         # one sampled dataset per (metric, rows, seed), so repeated
         # sampled requests (server auto mode, refinement rounds) reuse
-        # the gathered bitmaps and their mining-cache fingerprints.
+        # the sample's packed bitmaps and its mining-cache fingerprint.
         self._sample_designs: dict[tuple[int, int | None], object] = {}
         self._sampled_datasets: dict[
             tuple[str, int, int | None], TransactionDataset

@@ -34,6 +34,9 @@ from repro.resilience import checkpoint
 
 ItemsetKey = frozenset[int]
 
+#: The mining backends :func:`mine_frequent` accepts, default first.
+ALGORITHMS = ("bitset", "fpgrowth", "apriori", "eclat", "bruteforce")
+
 # Real key entries are ``id + 1`` in ``[1, _PAD_SENTINEL)``; padding is 0.
 # A query row of sentinels never matches a table row.
 _PAD_SENTINEL = np.uint32(0xFFFFFFFF)

@@ -310,9 +310,8 @@ def dense_item_rows(item_matrix: np.ndarray, n_items: int) -> np.ndarray:
 
     ``item_matrix`` is the ``(n_rows, n_attrs)`` matrix of global item
     ids (``matrix + offsets``); row ``i`` of the result marks the
-    transactions covered by item ``i``. This is the scatter behind
-    :attr:`TransactionDataset.packed_item_bitmaps`, shared with the
-    streaming append path so both pack coverage identically.
+    transactions covered by item ``i``. This is the scatter that
+    :attr:`ItemLayer.packed_item_bitmaps` packs, once per layer.
     """
     n_rows = item_matrix.shape[0]
     dense = np.zeros((n_items, n_rows), dtype=bool)
@@ -323,46 +322,15 @@ def dense_item_rows(item_matrix: np.ndarray, n_items: int) -> np.ndarray:
     return dense
 
 
-def append_packed_bits(
-    buffer: np.ndarray, n_bits: int, dense: np.ndarray
-) -> None:
-    """Append boolean columns to packed bitmap rows, in place.
-
-    ``buffer`` is a ``(R, cap_bytes) uint8`` packbits array (big-endian
-    bit order) whose first ``n_bits`` bit columns are occupied; ``dense``
-    is the ``(R, b) bool`` block to append starting at bit ``n_bits``.
-    The buffer must have capacity for ``n_bits + b`` bits, and the bits
-    at and beyond ``n_bits`` must be zero (they are ORed into). This is
-    the incremental alternative to re-packing the whole history: cost is
-    proportional to the batch, not to the accumulated stream.
-    """
-    b = dense.shape[1]
-    if b == 0:
-        return
-    offset = n_bits & 7
-    start = n_bits >> 3
-    if offset:
-        # Shift the batch to the intra-byte offset by prepending zero
-        # bit columns, then OR the straddling first byte into place.
-        padded = np.concatenate(
-            [np.zeros((dense.shape[0], offset), dtype=bool), dense], axis=1
-        )
-        packed = np.packbits(padded, axis=1)
-        buffer[:, start] |= packed[:, 0]
-        buffer[:, start + 1 : start + packed.shape[1]] = packed[:, 1:]
-    else:
-        packed = np.packbits(dense, axis=1)
-        buffer[:, start : start + packed.shape[1]] = packed
-
-
 def slice_packed_bits(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Bit columns ``[start, stop)`` of packed rows, repacked at offset 0.
 
     Returns a fresh ``(R, ceil((stop-start)/8)) uint8`` array whose
-    padding bits are zero, so it is directly usable as a
-    :attr:`TransactionDataset.packed_item_bitmaps` block for the window.
-    Byte-aligned starts are a pure byte-range copy; unaligned starts
-    unpack only the touched byte span.
+    padding bits are zero: the row shard ``[start, stop)`` of a
+    dataset's packed bitmaps, as the sharded miner sends it to a
+    worker. Byte-aligned starts (every :func:`plan_shards` boundary) are
+    a pure byte-range copy; unaligned starts unpack only the touched
+    byte span.
     """
     width = stop - start
     if width < 0:
@@ -371,7 +339,7 @@ def slice_packed_bits(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
     if start & 7 == 0:
         first = start >> 3
         out = packed[:, first : first + out_bytes].copy()
-        if out.shape[1] < out_bytes:  # capacity buffer narrower than asked
+        if out.shape[1] < out_bytes:
             raise MiningError(f"bit slice [{start}, {stop}) out of range")
     else:
         first = start >> 3
@@ -405,55 +373,6 @@ def plan_shards(n_rows: int, n_shards: int) -> list[int]:
     ]
     bounds.append(n_rows)
     return bounds
-
-
-def sample_rows_packed(
-    packed: np.ndarray, blocks: Sequence[tuple[int, int]]
-) -> np.ndarray:
-    """Gather row blocks of a packed bitmap into a compact packed array.
-
-    ``blocks`` is a sequence of ``(start, stop)`` bit-column ranges in
-    ascending order; the result packs their concatenation at offset 0,
-    with zero padding bits, ready to install via
-    :meth:`TransactionDataset.from_packed`. Every block except the last
-    must have a width divisible by 8 so the per-block
-    :func:`slice_packed_bits` outputs concatenate byte-wise without
-    re-shifting — :func:`plan_shards` boundaries (64-aligned) satisfy
-    this by construction, which is what keeps sampling a 10M-row
-    dataset a pure byte-gather that never materializes unpacked rows.
-    """
-    parts = []
-    for i, (start, stop) in enumerate(blocks):
-        width = stop - start
-        if width < 0:
-            raise MiningError(f"invalid sample block [{start}, {stop})")
-        if width % 8 and i != len(blocks) - 1:
-            raise MiningError(
-                f"sample block [{start}, {stop}) is not byte-aligned; only "
-                "the final block may have a partial byte"
-            )
-        parts.append(slice_packed_bits(packed, start, stop))
-    if not parts:
-        return np.zeros((packed.shape[0], 0), dtype=np.uint8)
-    return np.concatenate(parts, axis=1)
-
-
-def _grow_packed(
-    packed: np.ndarray, old_bits: int, new_bits: int
-) -> np.ndarray:
-    """Widen a packed bitmap to hold ``new_bits`` bit columns.
-
-    Returns ``packed`` itself when the byte width already suffices,
-    otherwise a zero-extended copy. The occupied prefix (``old_bits``
-    bits, i.e. the first ``ceil(old_bits / 8)`` bytes) is preserved.
-    """
-    need = (new_bits + 7) // 8
-    if packed.shape[1] >= need:
-        return packed
-    grown = np.zeros((packed.shape[0], need), dtype=np.uint8)
-    used = (old_bits + 7) // 8
-    grown[:, :used] = packed[:, :used]
-    return grown
 
 
 class ItemCatalog:
@@ -655,6 +574,12 @@ class TransactionDataset:
     their total, so every miner's table equals the one mined over the
     expanded rows.
 
+    A dataset never changes after it is built: ``TransactionDataset(
+    matrix, catalog, channels)`` is ``ItemLayer(matrix, catalog).
+    dataset(channels)``, and stream windows and samples are new datasets
+    over their own rows. Every lazily built cache, the fingerprint
+    included, therefore describes exactly one set of rows.
+
     Parameters
     ----------
     matrix:
@@ -685,7 +610,13 @@ class TransactionDataset:
         return dataset
 
     def _attach(self, layer: ItemLayer, channels: np.ndarray | None) -> None:
-        self._use_layer(layer)
+        # ``matrix`` and ``item_matrix`` hold the stored rows; ``n_rows``
+        # counts transactions (the multiplicity sum), ``n_physical``
+        # stored rows.
+        self.layer = layer
+        self.matrix, self.item_matrix = layer.matrix, layer.item_matrix
+        self.catalog, self.multiplicity = layer.catalog, layer.multiplicity
+        self.n_rows, self.n_physical = layer.n_rows, layer.n_physical
         if channels is None:
             channels = np.empty((layer.n_physical, 0), dtype=np.int64)
         ch = np.asarray(channels)
@@ -699,132 +630,6 @@ class TransactionDataset:
         self._kernel_planes: tuple[np.ndarray, ...] | None = None
         self._channels_binary: bool | None = None
         self._fingerprint: str | None = None
-
-    def _use_layer(self, layer: ItemLayer) -> None:
-        # ``matrix`` and ``item_matrix`` hold the stored rows; ``n_rows``
-        # counts transactions (the multiplicity sum), ``n_physical``
-        # stored rows.
-        self.layer = layer
-        self.matrix, self.item_matrix = layer.matrix, layer.item_matrix
-        self.catalog, self.multiplicity = layer.catalog, layer.multiplicity
-        self.n_rows, self.n_physical = layer.n_rows, layer.n_physical
-
-    # ------------------------------------------------------------------
-    # streaming construction hooks
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_packed(
-        cls,
-        matrix: np.ndarray,
-        catalog: ItemCatalog,
-        channels: np.ndarray | None = None,
-        packed_items: np.ndarray | None = None,
-        packed_channels: np.ndarray | None = None,
-    ) -> "TransactionDataset":
-        """Construct with pre-built packed bitmaps installed.
-
-        The streaming buffer maintains coverage bitmaps incrementally;
-        this hook lets it hand them to the dataset (after validating
-        their shapes) instead of having the lazy properties re-pack the
-        same rows from scratch. Bitmaps must follow the
-        :attr:`packed_item_bitmaps` layout exactly — ``np.packbits``
-        big-endian bit order with zero padding bits.
-        """
-        dataset = cls(matrix, catalog, channels)
-        n_bytes = dataset.n_packed_bytes
-        if packed_items is not None:
-            expected = (catalog.n_items, n_bytes)
-            if packed_items.shape != expected or packed_items.dtype != np.uint8:
-                raise MiningError(
-                    f"packed_items must be uint8 with shape {expected}, got "
-                    f"{packed_items.dtype} {packed_items.shape}"
-                )
-            dataset.layer._packed_items = packed_items
-        if packed_channels is not None:
-            expected = (dataset.n_channels, n_bytes)
-            if (
-                packed_channels.shape != expected
-                or packed_channels.dtype != np.uint8
-            ):
-                raise MiningError(
-                    f"packed_channels must be uint8 with shape {expected}, "
-                    f"got {packed_channels.dtype} {packed_channels.shape}"
-                )
-            dataset._packed_channels = packed_channels
-        return dataset
-
-    def extend(
-        self, matrix: np.ndarray, channels: np.ndarray | None = None
-    ) -> None:
-        """Append rows in place, maintaining caches incrementally.
-
-        Already-built packed bitmaps are grown by packing only the new
-        rows at the current bit offset (never re-packing history); the
-        cached :meth:`fingerprint` is invalidated so a grown dataset can
-        never alias a :class:`~repro.fpm.cache.MiningCache` entry of its
-        shorter past self. Channel binariness is re-examined against the
-        batch: a non-binary batch drops the packed channel bitmaps. The
-        cached :attr:`channel_planes` are always dropped. The dataset
-        gets a new :class:`ItemLayer`, so datasets sharing the old one
-        are unaffected. Datasets with multiplicities cannot grow.
-        """
-        if self.multiplicity is not None:
-            raise MiningError("cannot extend a dataset with multiplicities")
-        mat = np.asarray(matrix)
-        if mat.ndim != 2 or mat.shape[1] != len(self.catalog.attributes):
-            raise MiningError(
-                f"extension matrix must be (rows, {len(self.catalog.attributes)})"
-            )
-        if channels is None:
-            if self.n_channels:
-                raise MiningError("extension must provide channel rows")
-            channels = np.empty((mat.shape[0], 0), dtype=np.int64)
-        ch = np.asarray(channels)
-        if ch.ndim != 2 or ch.shape[0] != mat.shape[0] or ch.shape[1] != self.n_channels:
-            raise MiningError(
-                f"extension channels must be ({mat.shape[0]}, {self.n_channels})"
-            )
-        ch = ch.astype(np.int64, copy=False)
-
-        old_rows = self.n_rows
-        old = self.layer
-        self._use_layer(
-            ItemLayer(np.concatenate([old.matrix, mat], axis=0), self.catalog)
-        )
-        self.channels = np.concatenate([self.channels, ch], axis=0)
-        if old._packed_items is not None:
-            packed = _grow_packed(old._packed_items, old_rows, self.n_rows)
-            if packed is old._packed_items:  # never write a shared layer
-                packed = packed.copy()
-            append_packed_bits(
-                packed,
-                old_rows,
-                dense_item_rows(
-                    self.layer.item_matrix[old_rows:], self.catalog.n_items
-                ),
-            )
-            self.layer._packed_items = packed
-        batch_binary = bool(((ch == 0) | (ch == 1)).all())
-        if self._packed_channels is not None:
-            if batch_binary:
-                self._packed_channels = _grow_packed(
-                    self._packed_channels, old_rows, self.n_rows
-                )
-                append_packed_bits(
-                    self._packed_channels, old_rows, ch.T.astype(bool)
-                )
-            else:
-                self._packed_channels = None
-        if not batch_binary:
-            self._channels_binary = False
-        elif self._channels_binary is not True:
-            self._channels_binary = None  # re-derive lazily over all rows
-        # The batch can move a channel's minimum or widen its range.
-        self._channel_planes = self._kernel_planes = None
-        # A grown dataset is a different dataset: a stale fingerprint
-        # here would alias MiningCache entries of the pre-append state.
-        self._fingerprint = None
 
     # ------------------------------------------------------------------
     # per-item coverage
@@ -869,22 +674,6 @@ class TransactionDataset:
     def n_packed_bytes(self) -> int:
         """Bytes per packed row bitmap (``ceil(n_physical / 8)``)."""
         return (self.n_physical + 7) // 8
-
-    @property
-    def packed_items_built(self) -> bool:
-        """Whether the item bitmaps are already materialized.
-
-        The progressive sampler gathers packed blocks directly when they
-        exist and falls back to lazy small-sample packing when they do
-        not — checking here avoids forcing a full-dataset pack just to
-        take a sample.
-        """
-        return self.layer._packed_items is not None
-
-    @property
-    def packed_channels_built(self) -> bool:
-        """Whether the channel bitmaps are already materialized."""
-        return self._packed_channels is not None
 
     @property
     def packed_item_bitmaps(self) -> np.ndarray:
@@ -932,8 +721,7 @@ class TransactionDataset:
         See :func:`bit_planes`; binary channels are the one-plane case,
         :attr:`packed_channel_bitmaps` with identity weights and zero
         minima. With multiplicities, ``vmin`` scales with the support
-        (the multiplicity sum). Built at the first mine, cached, dropped
-        by :meth:`extend`.
+        (the multiplicity sum). Built at the first mine and cached.
         """
         if self._channel_planes is None:
             k = self.n_channels
@@ -956,7 +744,7 @@ class TransactionDataset:
         :attr:`channel_planes`, less the last channel when the channels
         partition every stored row (:func:`partitions_rows`);
         :func:`channel_vectors` restores it from the support. Built at
-        the first mine, cached, dropped by :meth:`extend`.
+        the first mine and cached.
         """
         if self._kernel_planes is None:
             k = self.n_channels

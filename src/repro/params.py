@@ -16,6 +16,7 @@ from repro.exceptions import ReproError
 
 __all__ = [
     "validate_acked",
+    "validate_algorithm",
     "validate_alert_threshold",
     "validate_batch_size",
     "validate_bins",
@@ -304,6 +305,18 @@ def validate_top(value: int | str, minimum: int = 1) -> int:
     if top < minimum:
         raise ReproError(f"top must be >= {minimum}, got {value!r}")
     return top
+
+
+def validate_algorithm(value: str) -> str:
+    """Check a mining backend name: one of
+    :data:`repro.fpm.miner.ALGORITHMS`."""
+    from repro.fpm.miner import ALGORITHMS
+
+    if value not in ALGORITHMS:
+        raise ReproError(
+            f"algorithm must be one of {', '.join(ALGORITHMS)}, got {value!r}"
+        )
+    return value
 
 
 def validate_weight_model(value: str) -> str:

@@ -3,9 +3,9 @@
 Turns the batch-only audit of the paper into an incremental pipeline:
 
 - :class:`~repro.stream.ingest.StreamBuffer` — append-only ingestion
-  that maintains the packed vertical bitmaps of
-  :class:`~repro.fpm.transactions.TransactionDataset` incrementally,
-  in amortized-doubling chunks;
+  of encoded rows and outcome channels in amortized-doubling buffers,
+  each window built as a new
+  :class:`~repro.fpm.transactions.TransactionDataset` over its rows;
 - :mod:`~repro.stream.window` — tumbling/sliding window policies that
   materialize each complete window as a real ``TransactionDataset``;
 - :class:`~repro.stream.monitor.DivergenceMonitor` — re-mines every

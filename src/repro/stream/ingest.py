@@ -1,24 +1,20 @@
 """Append-only ingestion buffer for streaming divergence analysis.
 
 :class:`StreamBuffer` accepts batches of dictionary-encoded rows plus
-their outcome channels and maintains the vertical packed-bitmap
-representation of :class:`~repro.fpm.transactions.TransactionDataset`
-*incrementally*: each append packs only the batch's bits at the current
-bit offset (via :func:`~repro.fpm.transactions.append_packed_bits`) into
-capacity buffers that grow in amortized-doubling chunks. Appending a
-batch therefore costs ``O(batch)`` regardless of how many rows have
-accumulated, where rebuilding a ``TransactionDataset`` from scratch
-costs ``O(total)`` — the difference ``benchmarks/bench_stream_ingest.py``
-measures.
+their outcome channels and copies them into row buffers that grow by
+amortized doubling, so appending a batch costs ``O(batch)`` however
+many rows have accumulated; ``benchmarks/bench_stream_ingest.py``
+measures it against rebuilding a packed ``TransactionDataset`` over the
+whole history.
 
-Windows over the buffer materialize as real ``TransactionDataset``
-objects through :meth:`StreamBuffer.window_dataset`, with the window's
-packed bitmaps sliced out of the maintained buffers
-(:func:`~repro.fpm.transactions.slice_packed_bits`), so the downstream
-miners, caches and divergence analytics run unchanged on live data —
-including the row-sharded parallel engine (:mod:`repro.fpm.sharded`),
-which re-slices a window's packed bitmaps into 64-aligned shards with
-the same primitive when the monitor is configured with ``n_workers``.
+:meth:`StreamBuffer.window_dataset` builds a window as a new
+``TransactionDataset`` over the window's rows, which packs its own
+bitmaps at the first mine. The downstream miners, caches and divergence
+analytics therefore run unchanged on live data, including the
+row-sharded engine (:mod:`repro.fpm.sharded`) when the monitor is
+configured with ``n_workers``. Each window's fingerprint names exactly
+its rows, so a :class:`~repro.fpm.cache.MiningCache` entry of a shorter
+buffer is never served for a longer one.
 """
 
 from __future__ import annotations
@@ -26,19 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import MiningError
-from repro.fpm.transactions import (
-    ItemCatalog,
-    TransactionDataset,
-    append_packed_bits,
-    dense_item_rows,
-    slice_packed_bits,
-)
+from repro.fpm.transactions import ItemCatalog, TransactionDataset
 from repro.obs import get_registry
 from repro.resilience import checkpoint
 
 
 class StreamBuffer:
-    """Append-only row store with incrementally packed coverage bitmaps.
+    """Append-only store of encoded rows and their outcome channels.
 
     Parameters
     ----------
@@ -69,13 +59,6 @@ class StreamBuffer:
         n_attrs = len(catalog.attributes)
         self._matrix = np.zeros((cap, n_attrs), dtype=np.int32)
         self._channels = np.zeros((cap, self.n_channels), dtype=np.int64)
-        cap_bytes = (cap + 7) // 8
-        self._packed_items = np.zeros((catalog.n_items, cap_bytes), np.uint8)
-        self._packed_channels = np.zeros((self.n_channels, cap_bytes), np.uint8)
-        # Channels stay packable only while every value is 0/1; a
-        # non-binary batch permanently drops the packed channel path
-        # (windows then fall back to the miners' gather path).
-        self._channels_binary = True
 
     # ------------------------------------------------------------------
 
@@ -99,11 +82,6 @@ class StreamBuffer:
         """View of the ingested ``(n_rows, n_channels)`` channel matrix."""
         return self._channels[: self._n_rows]
 
-    @property
-    def channels_binary(self) -> bool:
-        """Whether every ingested channel value has been 0/1."""
-        return self._channels_binary
-
     def __len__(self) -> int:
         return self._n_rows
 
@@ -114,8 +92,8 @@ class StreamBuffer:
 
         ``matrix`` is ``(b, n_attrs)`` dictionary-encoded codes and
         ``channels`` the matching ``(b, n_channels)`` outcome channels.
-        Cost is proportional to the batch: the packed bitmaps receive
-        only the batch's bits, at the current bit offset.
+        Cost is proportional to the batch: its rows are copied behind
+        the accumulated ones.
         """
         checkpoint("stream.append")
         mat = np.asarray(matrix)
@@ -140,20 +118,6 @@ class StreamBuffer:
         self._reserve(old + b)
         self._matrix[old : old + b] = mat
         self._channels[old : old + b] = ch
-
-        item_rows = mat.astype(np.int32) + self.catalog.offsets[:-1].astype(
-            np.int32
-        )
-        append_packed_bits(
-            self._packed_items, old, dense_item_rows(item_rows, self.catalog.n_items)
-        )
-        if self._channels_binary:
-            if bool(((ch == 0) | (ch == 1)).all()):
-                append_packed_bits(
-                    self._packed_channels, old, ch.T.astype(bool)
-                )
-            else:
-                self._channels_binary = False
         self._n_rows = old + b
         self.batches += 1
         registry = get_registry()
@@ -175,43 +139,18 @@ class StreamBuffer:
         channels = np.zeros((cap, self.n_channels), dtype=np.int64)
         channels[: self._n_rows] = self._channels[: self._n_rows]
         self._channels = channels
-        cap_bytes = (cap + 7) // 8
-        used_bytes = (self._n_rows + 7) // 8
-        packed = np.zeros((self.catalog.n_items, cap_bytes), np.uint8)
-        packed[:, :used_bytes] = self._packed_items[:, :used_bytes]
-        self._packed_items = packed
-        packed_ch = np.zeros((self.n_channels, cap_bytes), np.uint8)
-        packed_ch[:, :used_bytes] = self._packed_channels[:, :used_bytes]
-        self._packed_channels = packed_ch
         get_registry().counter("stream.buffer_growths").inc()
 
     # ------------------------------------------------------------------
 
     def window_dataset(self, start: int, stop: int) -> TransactionDataset:
-        """Materialize rows ``[start, stop)`` as a ``TransactionDataset``.
-
-        The window's packed item (and, for binary channels, channel)
-        bitmaps are sliced out of the incrementally maintained buffers
-        and installed via
-        :meth:`~repro.fpm.transactions.TransactionDataset.from_packed`,
-        so the bitset miner never re-packs window rows.
-        """
+        """Rows ``[start, stop)`` as a new ``TransactionDataset``."""
         if not 0 <= start < stop <= self._n_rows:
             raise MiningError(
                 f"window [{start}, {stop}) out of range for {self._n_rows} rows"
             )
-        packed_items = slice_packed_bits(self._packed_items, start, stop)
-        packed_channels = (
-            slice_packed_bits(self._packed_channels, start, stop)
-            if self._channels_binary and self.n_channels
-            else None
-        )
-        return TransactionDataset.from_packed(
-            self._matrix[start:stop],
-            self.catalog,
-            self._channels[start:stop],
-            packed_items=packed_items,
-            packed_channels=packed_channels,
+        return TransactionDataset(
+            self._matrix[start:stop], self.catalog, self._channels[start:stop]
         )
 
     def dataset(self) -> TransactionDataset:

@@ -1,6 +1,6 @@
 """Units for progressive sampled exploration (``repro.approx``).
 
-Covers the packed-block sampler, the seeded sample design, the spec
+Covers the block sampler, the seeded sample design, the spec
 validators at every edge (params, CLI exit codes), the credible
 intervals and rank-stability flags of ``ApproxResult``, and the shared
 RNG convention between the dataset generators and the sampler.
@@ -23,13 +23,9 @@ from repro.approx import (
 from repro.cli import main
 from repro.core.divergence import DivergenceExplorer
 from repro.datasets.sampling import seeded_generator
-from repro.exceptions import MiningError, ReproError
+from repro.exceptions import ReproError
 from repro.params import validate_confidence, validate_sample
-from repro.fpm.transactions import (
-    ItemCatalog,
-    TransactionDataset,
-    sample_rows_packed,
-)
+from repro.fpm.transactions import ItemCatalog, TransactionDataset
 from repro.tabular.table import Table
 
 
@@ -62,40 +58,6 @@ def make_explorer(n_rows=2048, seed=3) -> DivergenceExplorer:
         }
     )
     return DivergenceExplorer(table, "class", "pred", attributes=["a", "b"])
-
-
-class TestSampleRowsPacked:
-    def test_concatenates_aligned_blocks(self):
-        ds = make_dataset(n_rows=512)
-        packed = ds.packed_item_bitmaps
-        blocks = [(0, 64), (128, 256), (448, 512)]
-        out = sample_rows_packed(packed, blocks)
-        expected = np.concatenate(
-            [packed[:, 0:8], packed[:, 16:32], packed[:, 56:64]], axis=1
-        )
-        assert np.array_equal(out, expected)
-
-    def test_final_block_may_be_partial(self):
-        ds = make_dataset(n_rows=100)
-        packed = ds.packed_item_bitmaps
-        out = sample_rows_packed(packed, [(0, 64), (64, 100)])
-        assert np.array_equal(out, packed)
-
-    def test_interior_misaligned_block_rejected(self):
-        ds = make_dataset(n_rows=256)
-        packed = ds.packed_item_bitmaps
-        with pytest.raises(MiningError, match="byte-aligned"):
-            sample_rows_packed(packed, [(0, 60), (64, 128)])
-
-    def test_negative_width_rejected(self):
-        ds = make_dataset(n_rows=256)
-        with pytest.raises(MiningError, match="invalid sample block"):
-            sample_rows_packed(ds.packed_item_bitmaps, [(64, 0)])
-
-    def test_empty_selection(self):
-        ds = make_dataset(n_rows=256)
-        out = sample_rows_packed(ds.packed_item_bitmaps, [])
-        assert out.shape == (ds.catalog.n_items, 0)
 
 
 class TestSampleDesign:
@@ -222,24 +184,6 @@ class TestSampleDataset:
         index = design.row_index(200)
         assert np.array_equal(sampled.matrix, ds.matrix[index])
         assert np.array_equal(sampled.channels, ds.channels[index])
-
-    def test_packed_gather_matches_lazy_pack(self):
-        ds = make_dataset(n_rows=1000)
-        # Force the parent's packed bitmaps so the byte-copy path runs.
-        ds.packed_item_bitmaps
-        ds.packed_channel_bitmaps
-        design = SampleDesign(ds.n_rows, seed=9)
-        fast = sample_dataset(ds, design, 300)
-        # Rebuild the same sample from the unpacked rows and let it pack
-        # itself — both routes must agree bit for bit.
-        index = design.row_index(300)
-        slow = TransactionDataset(
-            ds.matrix[index], ds.catalog, ds.channels[index]
-        )
-        assert np.array_equal(fast.packed_item_bitmaps, slow.packed_item_bitmaps)
-        assert np.array_equal(
-            fast.packed_channel_bitmaps, slow.packed_channel_bitmaps
-        )
 
     def test_design_dataset_mismatch_rejected(self):
         ds = make_dataset(n_rows=500)

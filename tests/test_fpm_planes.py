@@ -32,6 +32,7 @@ from repro.fpm.transactions import (
     plane_sums,
     popcount_rows,
 )
+from repro.stream import StreamBuffer
 
 COLUMN_KINDS = ("random", "negative", "constant", "single", "headroom", "full")
 ROW_COUNTS = (1, 5, 9, 63, 65, 127, 130, 200)
@@ -190,17 +191,24 @@ class TestMinersMatchOracle:
 
 
 class TestExtendRebuildsPlanes:
+    """A stream buffer extended by a batch that lowers a channel minimum
+    yields a dataset whose planes cover every row."""
+
     def test_batch_lowering_a_minimum(self):
         rng = np.random.default_rng(4)
         channels = rng.integers(0, 1000, (150, 2), dtype=np.int64)
-        dataset = random_dataset(rng, 150, channels)
-        mine_frequent(dataset, 0.05)  # builds and caches the planes
-        assert dataset.channel_planes[2].tolist() == channels.min(axis=0).tolist()
+        first = random_dataset(rng, 150, channels)
+        buffer = StreamBuffer(first.catalog)
+        buffer.append(first.matrix, channels)
+        before = buffer.dataset()
+        mine_frequent(before, 0.05)  # builds and caches the planes
+        assert before.channel_planes[2].tolist() == channels.min(axis=0).tolist()
         more = random_dataset(rng, 37, rng.integers(-5000, 10, (37, 2)))
-        dataset.extend(more.matrix, more.channels)
+        buffer.append(more.matrix, more.channels)
+        dataset = buffer.dataset()
         fresh = TransactionDataset(
-            np.vstack([dataset.matrix[:150], more.matrix]),
-            dataset.catalog,
+            np.vstack([first.matrix, more.matrix]),
+            first.catalog,
             np.vstack([channels, more.channels]),
         )
         assert dataset.channel_planes[2].tolist() == fresh.channels.min(axis=0).tolist()

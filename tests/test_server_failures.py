@@ -254,3 +254,12 @@ def test_labels_accept_json_booleans_and_0_1():
     assert validate_labels([True, 0, 1, False], "truth") == [
         True, False, True, False
     ]
+
+
+def test_ingest_unknown_algorithm_creates_no_session(server):
+    payload = check(
+        server, 400, "POST", "/api/monitor/ingest",
+        "reset=1&algorithm=bogus", INGEST,
+    )
+    assert "algorithm" in payload["error"]
+    assert send(server, "GET", "/api/monitor/status") == (200, {"active": False})

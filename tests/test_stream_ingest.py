@@ -1,6 +1,6 @@
-"""Tests for streaming ingestion: packed-bit primitives, the append
-buffer, and the TransactionDataset growth hooks (including the
-mining-cache anti-aliasing regression)."""
+"""Tests for streaming ingestion: the packed-bit primitives, the append
+buffer and its windows (including the mining-cache anti-aliasing
+regression)."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.fpm.cache import MiningCache
 from repro.fpm.transactions import (
     ItemCatalog,
     TransactionDataset,
-    append_packed_bits,
     dense_item_rows,
     slice_packed_bits,
 )
@@ -33,19 +32,7 @@ def random_rows(rng, n, catalog, binary_channels=True):
 
 
 class TestPackedPrimitives:
-    """append/slice agree exactly with from-scratch ``np.packbits``."""
-
-    @pytest.mark.parametrize("splits", [[11], [11, 18], [7, 8, 9, 64]])
-    def test_append_matches_full_packing(self, splits):
-        rng = np.random.default_rng(0)
-        n = 90
-        dense = rng.random((5, n)) < 0.4
-        reference = np.packbits(dense, axis=1)
-        buffer = np.zeros((5, (n + 7) // 8), dtype=np.uint8)
-        bounds = [0, *splits, n]
-        for start, stop in zip(bounds, bounds[1:]):
-            append_packed_bits(buffer, start, dense[:, start:stop])
-        np.testing.assert_array_equal(buffer, reference)
+    """The row-bitmap primitives of the item layer and the sharded miner."""
 
     @pytest.mark.parametrize(
         "start,stop", [(0, 16), (8, 40), (3, 21), (5, 64), (0, 7), (63, 64)]
@@ -67,6 +54,18 @@ class TestPackedPrimitives:
         assert out.shape == (2, 2)
         assert (out[:, 1] & 0b00000111).max() == 0
 
+    def test_dense_item_rows_roundtrip(self):
+        catalog = make_catalog()
+        rng = np.random.default_rng(10)
+        matrix, _ = random_rows(rng, 25, catalog)
+        item_rows = matrix + catalog.offsets[:-1].astype(np.int32)
+        dense = dense_item_rows(item_rows, catalog.n_items)
+        assert dense.shape == (catalog.n_items, 25)
+        # every row sets exactly one bit per attribute
+        assert (dense.sum(axis=0) == len(catalog.attributes)).all()
+        for r in range(25):
+            assert set(np.flatnonzero(dense[:, r])) == set(item_rows[r])
+
 
 class TestStreamBuffer:
     def test_incremental_packing_matches_fresh_dataset(self):
@@ -74,7 +73,7 @@ class TestStreamBuffer:
         rng = np.random.default_rng(2)
         matrix, channels = random_rows(rng, 103, catalog)
         buffer = StreamBuffer(catalog, initial_capacity=16)
-        # odd batch sizes exercise every bit-offset case
+        # odd batch sizes cross the buffer's doubling boundaries
         for start, stop in [(0, 11), (11, 29), (29, 66), (66, 103)]:
             buffer.append(matrix[start:stop], channels[start:stop])
         assert buffer.n_rows == 103
@@ -130,12 +129,12 @@ class TestStreamBuffer:
         rng = np.random.default_rng(5)
         matrix, channels = random_rows(rng, 40, catalog, binary_channels=False)
         buffer = StreamBuffer(catalog)
-        assert buffer.channels_binary
         buffer.append(matrix, channels)
-        assert not buffer.channels_binary
-        # windows still materialize; the dataset just repacks nothing
+        # windows still materialize; their channels are mined as planes
         window = buffer.window_dataset(0, 40)
         assert not window.channels_binary
+        with pytest.raises(MiningError):
+            window.packed_channel_bitmaps
         np.testing.assert_array_equal(window.channels, channels)
 
     def test_append_validates_shapes_and_codes(self):
@@ -161,115 +160,37 @@ class TestStreamBuffer:
             buffer.window_dataset(5, 5)
 
 
-class TestTransactionDatasetGrowth:
-    def test_extend_appends_rows(self):
-        catalog = make_catalog()
-        rng = np.random.default_rng(6)
-        matrix, channels = random_rows(rng, 30, catalog)
-        more, more_ch = random_rows(rng, 13, catalog)
-        dataset = TransactionDataset(matrix, catalog, channels)
-        dataset.extend(more, more_ch)
-        assert dataset.n_rows == 43
-        fresh = TransactionDataset(
-            np.vstack([matrix, more]), catalog, np.vstack([channels, more_ch])
-        )
-        np.testing.assert_array_equal(dataset.matrix, fresh.matrix)
-        np.testing.assert_array_equal(dataset.item_matrix, fresh.item_matrix)
-
-    def test_extend_grows_built_packed_bitmaps_incrementally(self):
-        catalog = make_catalog()
-        rng = np.random.default_rng(7)
-        matrix, channels = random_rows(rng, 21, catalog)
-        more, more_ch = random_rows(rng, 17, catalog)
-        dataset = TransactionDataset(matrix, catalog, channels)
-        dataset.packed_item_bitmaps  # force the lazy build
-        dataset.packed_channel_bitmaps
-        dataset.extend(more, more_ch)
-        fresh = TransactionDataset(
-            np.vstack([matrix, more]), catalog, np.vstack([channels, more_ch])
-        )
-        np.testing.assert_array_equal(
-            dataset.packed_item_bitmaps, fresh.packed_item_bitmaps
-        )
-        np.testing.assert_array_equal(
-            dataset.packed_channel_bitmaps, fresh.packed_channel_bitmaps
-        )
-
-    def test_extend_requires_channels_when_channelful(self):
-        catalog = make_catalog()
-        rng = np.random.default_rng(8)
-        matrix, channels = random_rows(rng, 10, catalog)
-        dataset = TransactionDataset(matrix, catalog, channels)
-        with pytest.raises(MiningError):
-            dataset.extend(matrix[:2])
-
-    def test_from_packed_validates(self):
-        catalog = make_catalog()
-        rng = np.random.default_rng(9)
-        matrix, channels = random_rows(rng, 16, catalog)
-        good = TransactionDataset(matrix, catalog, channels)
-        with pytest.raises(MiningError):
-            TransactionDataset.from_packed(
-                matrix,
-                catalog,
-                channels,
-                packed_items=np.zeros((catalog.n_items, 99), np.uint8),
-            )
-        with pytest.raises(MiningError):
-            TransactionDataset.from_packed(
-                matrix,
-                catalog,
-                channels,
-                packed_items=good.packed_item_bitmaps.astype(np.int32),
-            )
-        installed = TransactionDataset.from_packed(
-            matrix, catalog, channels, packed_items=good.packed_item_bitmaps
-        )
-        np.testing.assert_array_equal(
-            installed.packed_item_bitmaps, good.packed_item_bitmaps
-        )
-
-    def test_dense_item_rows_roundtrip(self):
-        catalog = make_catalog()
-        rng = np.random.default_rng(10)
-        matrix, _ = random_rows(rng, 25, catalog)
-        item_rows = matrix + catalog.offsets[:-1].astype(np.int32)
-        dense = dense_item_rows(item_rows, catalog.n_items)
-        assert dense.shape == (catalog.n_items, 25)
-        # every row sets exactly one bit per attribute
-        assert (dense.sum(axis=0) == len(catalog.attributes)).all()
-        for r in range(25):
-            assert set(np.flatnonzero(dense[:, r])) == set(item_rows[r])
-
-
 class TestMiningCacheAliasRegression:
-    """A grown dataset must never be served its shorter past self.
+    """A buffer extended by more appends must never be served its
+    shorter past self.
 
-    ``TransactionDataset.extend`` invalidates the cached fingerprint;
-    if it did not, the MiningCache would key the grown dataset to the
-    pre-growth entry and return stale counts.
+    Each ``StreamBuffer.dataset()`` is a new dataset over the rows held
+    at the time, so its fingerprint names exactly those rows; if it did
+    not, the MiningCache would key the longer buffer to the shorter
+    one's entry and return stale counts.
     """
 
     def test_extend_changes_fingerprint(self):
         catalog = make_catalog()
         rng = np.random.default_rng(11)
-        matrix, channels = random_rows(rng, 20, catalog)
-        dataset = TransactionDataset(matrix, catalog, channels)
-        before = dataset.fingerprint()
-        dataset.extend(*random_rows(rng, 5, catalog))
-        assert dataset.fingerprint() != before
+        buffer = StreamBuffer(catalog)
+        buffer.append(*random_rows(rng, 20, catalog))
+        before = buffer.dataset().fingerprint()
+        buffer.append(*random_rows(rng, 5, catalog))
+        assert buffer.dataset().fingerprint() != before
 
     def test_cache_cannot_serve_stale_entry_after_extend(self):
         catalog = make_catalog()
         rng = np.random.default_rng(12)
         matrix, channels = random_rows(rng, 40, catalog)
-        dataset = TransactionDataset(matrix, catalog, channels)
+        buffer = StreamBuffer(catalog, initial_capacity=8)
+        buffer.append(matrix, channels)
         cache = MiningCache()
-        first = cache.mine(dataset, 0.01)
+        first = cache.mine(buffer.dataset(), 0.01)
         assert first.counts(frozenset())[0] == 40
         more, more_ch = random_rows(rng, 24, catalog)
-        dataset.extend(more, more_ch)
-        second = cache.mine(dataset, 0.01)
+        buffer.append(more, more_ch)
+        second = cache.mine(buffer.dataset(), 0.01)
         assert second.counts(frozenset())[0] == 64
         fresh = TransactionDataset(
             np.vstack([matrix, more]), catalog, np.vstack([channels, more_ch])

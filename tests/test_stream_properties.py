@@ -1,11 +1,12 @@
 """Property test: incremental windowed mining ≡ batch exploration.
 
-For any partition of the stream into ingestion batches, every window the
-monitor mines must be *bit-identical* — same canonical keys, same
-``[n, T, F]`` counts, same divergences — to a from-scratch
-``DivergenceExplorer.explore`` over exactly the window's rows, on every
-tested mining backend. This is the correctness contract that lets the
-streaming path reuse all downstream analytics unchanged.
+For any partition of the stream into ingestion batches, under a tumbling
+and a sliding window policy, every window the monitor mines must be
+*bit-identical* — same canonical keys, same ``[n, T, F]`` counts, same
+divergences — to a from-scratch ``DivergenceExplorer.explore`` over
+exactly the window's rows, on every tested mining backend. This is the
+correctness contract that lets the streaming path reuse all downstream
+analytics unchanged.
 """
 
 import math
@@ -24,6 +25,10 @@ from repro.tabular.table import Table
 
 N_ROWS = 100
 WINDOW = 40
+# (window, step) policies every batch partition is checked under:
+# tumbling, and sliding windows whose start rows (0, 12, 24, ...) are
+# not multiples of 8.
+POLICIES = [(WINDOW, None), (WINDOW, 12)]
 CARDS = (2, 3)
 MIN_SUPPORT = 0.08
 
@@ -69,14 +74,18 @@ def test_any_batch_partition_matches_batch_exploration(
         [f"a{j}" for j in range(len(CARDS))],
         [list(range(m)) for m in CARDS],
     )
-    monitor = DivergenceMonitor(
-        catalog,
-        metric="fpr",
-        window=WINDOW,
-        min_support=MIN_SUPPORT,
-        algorithm=algorithm,
-        keep_results=16,
-    )
+    monitors = [
+        DivergenceMonitor(
+            catalog,
+            metric="fpr",
+            window=window,
+            step=step,
+            min_support=MIN_SUPPORT,
+            algorithm=algorithm,
+            keep_results=16,
+        )
+        for window, step in POLICIES
+    ]
     cuts = data.draw(
         st.lists(
             st.integers(1, N_ROWS - 1), max_size=6, unique=True
@@ -84,10 +93,13 @@ def test_any_batch_partition_matches_batch_exploration(
     )
     bounds = [0, *cuts, N_ROWS]
     for start, stop in zip(bounds, bounds[1:]):
-        monitor.ingest(matrix[start:stop], outcome=outcome[start:stop])
+        for monitor in monitors:
+            monitor.ingest(matrix[start:stop], outcome=outcome[start:stop])
 
-    assert len(monitor.windows) == N_ROWS // WINDOW
-    for stats in monitor.windows:
+    tumbling, sliding = monitors
+    assert len(tumbling.windows) == N_ROWS // WINDOW
+    assert [w.start for w in sliding.windows] == [0, 12, 24, 36, 48, 60]
+    for stats in tumbling.windows + sliding.windows:
         rows = slice(stats.start, stats.stop)
         expected = window_explorer(
             matrix[rows], truth[rows], pred[rows]
