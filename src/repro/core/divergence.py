@@ -242,14 +242,13 @@ class DivergenceExplorer:
 
         Returns ``None`` when the resolved sample covers every row. The
         sample is drawn from the original rows, never from distinct
-        ones. Designs and gathered datasets are cached so refinement
-        rounds and repeated server requests pay the gather once.
+        ones: its rows and outcome channels are gathered straight from
+        the encoded matrix and the metric's outcome array, so a grouped
+        explorer never builds a whole-table dataset of original rows.
+        Designs and gathered datasets are cached so refinement rounds
+        and repeated server requests pay the gather once.
         """
-        from repro.approx.sampler import (
-            SampleDesign,
-            resolve_sample_rows,
-            sample_dataset,
-        )
+        from repro.approx.sampler import SampleDesign, resolve_sample_rows
 
         rows = resolve_sample_rows(sample, n_rows)
         design_key = (n_rows, seed)
@@ -265,12 +264,14 @@ class DivergenceExplorer:
         if sampled is None:
             from repro.obs import span
 
-            dataset = self._datasets[metric][1]
-            if dataset.multiplicity is not None:
-                channels = outcome_channels(self._datasets[metric][0])
-                dataset = TransactionDataset(self._matrix, self.catalog, channels)
+            outcome = self._datasets[metric][0]
             with span("approx.sample"):
-                sampled = sample_dataset(dataset, design, rows)
+                index = design.row_index(rows)
+                sampled = TransactionDataset(
+                    self._matrix[index],
+                    self.catalog,
+                    outcome_channels(outcome[index]),
+                )
             self._sampled_datasets[cache_key] = sampled
         return sampled
 

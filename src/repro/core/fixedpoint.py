@@ -78,9 +78,15 @@ def encode_weight_channels(
             "(e.g. subtract the mean and divide by the standard "
             "deviation) before exploring"
         )
-    fixed = np.round(weights * scale).astype(np.int64)
-    fixed_sq = np.round(weights * weights * scale).astype(np.int64)
-    return np.column_stack([fixed, fixed_sq])
+    # One float buffer, rounded in place (``rint`` rounds half to even,
+    # like ``np.round``) and cast into its column of the output.
+    channels = np.empty((n_rows, 2), dtype=np.int64)
+    buffer = np.multiply(weights, scale)
+    channels[:, 0] = np.rint(buffer, out=buffer)
+    np.multiply(weights, weights, out=buffer)
+    buffer *= scale
+    channels[:, 1] = np.rint(buffer, out=buffer)
+    return channels
 
 
 def decode_moments(

@@ -239,24 +239,36 @@ def channel_vectors(
 
 
 def exact_bincount(
-    index: np.ndarray, values: np.ndarray, length: int
+    index: np.ndarray,
+    values: np.ndarray,
+    length: int,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-bin int64 sums of ``values``, exact (mod 2**64 like int64).
 
     A float64 ``bincount`` is exact only while every bin sum stays below
     2**53. The offsets from the minimum are summed in limbs of ``53 -
-    bit_length(len(index))`` bits, so no limb sum can reach 2**53: one
-    limb for binary values, one or two for fixed-point ones.
+    bit_length(len(index))`` bits, so no limb sum can reach 2**53. When
+    the offsets' span fits one limb (binary values, and fixed-point ones
+    of a moderate range) they are summed in one float ``bincount``, with
+    no shift and no mask; wider spans take one ``bincount`` per limb.
+
+    ``counts`` is ``bincount(index, minlength=length)`` when the caller
+    already has it (a grouped layer's ``multiplicity``), so the minimum
+    is added back without counting ``index`` again.
     """
     n = len(index)
     lo = values.min() if n else np.int64(0)
     offsets = values.view(np.uint64) - np.int64(lo).view(np.uint64)
     width = max(1, 53 - n.bit_length())
     span = int(offsets.max()).bit_length() if n else 0
-    out = np.bincount(index, minlength=length).astype(np.uint64)
+    if counts is None:
+        counts = np.bincount(index, minlength=length)
+    out = counts.astype(np.uint64)
     out *= np.int64(lo).view(np.uint64)
+    mask = np.uint64((1 << width) - 1)
     for shift in range(0, span, width):
-        limb = (offsets >> np.uint64(shift)) & np.uint64((1 << width) - 1)
+        limb = offsets if span <= width else (offsets >> np.uint64(shift)) & mask
         sums = np.bincount(index, limb.astype(np.float64), length)
         out += sums.astype(np.uint64) << np.uint64(shift)
     return out.view(np.int64)
@@ -323,30 +335,25 @@ def dense_item_rows(item_matrix: np.ndarray, n_items: int) -> np.ndarray:
 
 
 def slice_packed_bits(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Bit columns ``[start, stop)`` of packed rows, repacked at offset 0.
+    """Bit columns ``[start, stop)`` of packed rows, as a fresh array.
 
-    Returns a fresh ``(R, ceil((stop-start)/8)) uint8`` array whose
-    padding bits are zero: the row shard ``[start, stop)`` of a
-    dataset's packed bitmaps, as the sharded miner sends it to a
-    worker. Byte-aligned starts (every :func:`plan_shards` boundary) are
-    a pure byte-range copy; unaligned starts unpack only the touched
-    byte span.
+    Returns a ``(R, ceil((stop-start)/8)) uint8`` copy whose padding
+    bits are zero: the row shard ``[start, stop)`` of a dataset's packed
+    bitmaps, as the sharded miner sends it to a worker. ``start`` must
+    be byte-aligned (every :func:`plan_shards` boundary is), so the
+    slice is a pure byte-range copy; an unaligned start raises
+    :class:`~repro.exceptions.MiningError`.
     """
     width = stop - start
     if width < 0:
         raise MiningError(f"invalid bit slice [{start}, {stop})")
+    if start & 7:
+        raise MiningError(f"bit slice start {start} is not byte-aligned")
     out_bytes = (width + 7) // 8
-    if start & 7 == 0:
-        first = start >> 3
-        out = packed[:, first : first + out_bytes].copy()
-        if out.shape[1] < out_bytes:
-            raise MiningError(f"bit slice [{start}, {stop}) out of range")
-    else:
-        first = start >> 3
-        last = (stop + 7) >> 3
-        bits = np.unpackbits(packed[:, first:last], axis=1)
-        shift = start & 7
-        out = np.packbits(bits[:, shift : shift + width], axis=1)
+    first = start >> 3
+    out = packed[:, first : first + out_bytes].copy()
+    if out.shape[1] < out_bytes:
+        raise MiningError(f"bit slice [{start}, {stop}) out of range")
     pad = (-width) % 8
     if pad and out.shape[1]:
         out[:, -1] &= np.uint8((0xFF << pad) & 0xFF)
@@ -359,8 +366,8 @@ def plan_shards(n_rows: int, n_shards: int) -> list[int]:
     Returns ``n_shards + 1`` ascending offsets; shard ``i`` covers rows
     ``[bounds[i], bounds[i + 1])``. Every interior boundary is rounded up
     to a multiple of 64 so each shard starts on a byte *and* word
-    boundary of the packed bitmaps — :func:`slice_packed_bits` then takes
-    its pure byte-copy fast path and the shard widths reinterpret cleanly
+    boundary of the packed bitmaps — :func:`slice_packed_bits` copies
+    whole bytes and the shard widths reinterpret cleanly
     as uint64 words. Small datasets degenerate gracefully: trailing
     shards may be empty (``bounds[i] == bounds[i + 1]``), which the
     sharded miner treats as zero-count contributors.
@@ -518,18 +525,19 @@ class ItemLayer:
         """A dataset over these rows with per-source-row ``channels``.
 
         Grouped layers sum each channel per stored row
-        (:func:`exact_bincount`), so the dataset holds one channel row
-        per stored row.
+        (:func:`exact_bincount`, passed the layer's ``multiplicity`` as
+        the per-row counts), so the dataset holds one channel row per
+        stored row.
         """
         if self.inverse is not None and channels is not None:
             ch = np.asarray(channels)
             if ch.ndim != 2 or ch.shape[0] != len(self.inverse):
                 raise MiningError("channels must be (n_rows, k)")
-            ch = ch.astype(np.int64, copy=False)
             channels = np.empty((self.n_physical, ch.shape[1]), np.int64)
-            for c, column in enumerate(ch.T):
+            for c in range(ch.shape[1]):
+                column = np.ascontiguousarray(ch[:, c], dtype=np.int64)
                 channels[:, c] = exact_bincount(
-                    self.inverse, column, self.n_physical
+                    self.inverse, column, self.n_physical, self.multiplicity
                 )
         return TransactionDataset.on_layer(self, channels)
 

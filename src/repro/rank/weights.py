@@ -23,7 +23,8 @@ Models
     divergence, the Kittler delta-style view of a classifier.
 
 Ranks are assigned by descending score with ties broken by row index
-(stable sort), so every weight vector is deterministic.
+(a stable sort whenever ties exist), so every weight vector is
+deterministic.
 """
 
 from __future__ import annotations
@@ -39,11 +40,18 @@ WEIGHT_MODELS = ("exposure", "topk", "reciprocal_rank", "score")
 def rank_positions(scores: np.ndarray) -> np.ndarray:
     """1-based rank of every row: highest score first, ties by row index.
 
-    The stable argsort makes the ranking deterministic under ties, so
-    every backend (and every shard plan) sees identical weights.
+    Ties are broken by row index, so every backend (and every shard
+    plan) sees identical weights. Without ties the descending order is
+    unique, so numpy's default (unstable, faster) argsort already gives
+    it; the stable argsort runs only when two adjacent sorted scores are
+    equal (``-0.0 == 0.0`` counts as a tie).
     """
     scores = _validated(scores)
-    order = np.argsort(-scores, kind="stable")
+    keys = -scores
+    order = np.argsort(keys)
+    ordered = keys[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(keys, kind="stable")
     ranks = np.empty(scores.shape[0], dtype=np.int64)
     ranks[order] = np.arange(1, scores.shape[0] + 1)
     return ranks

@@ -24,6 +24,7 @@ from repro.core.compare import (
     delta_divergence_score,
 )
 from repro.core.corrective import CorrectiveItem, _sort_corrections
+from repro.core.fixedpoint import SCALE
 from repro.core.items import Item, Itemset
 from repro.core.pruning import _sort_records
 from repro.core.ranking import benjamini_hochberg, t_to_p_value
@@ -360,3 +361,41 @@ def pack_keys_reference(itemsets) -> np.ndarray:
     bad = [i for i, s in enumerate(sets) if s and (s[0] < 0 or s[-1] >= 2**32 - 2)]
     keys[bad] = 0xFFFFFFFF
     return keys.astype(np.uint32)
+
+
+def rank_positions_reference(scores) -> np.ndarray:
+    """Stable-argsort ranks: highest score first, ties by row index."""
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    ranks = np.empty(scores.shape[0], dtype=np.int64)
+    ranks[order] = np.arange(1, scores.shape[0] + 1)
+    return ranks
+
+
+def encode_weight_channels_reference(weights, scale: int = SCALE) -> np.ndarray:
+    """Two ``np.round(...).astype(int64)`` columns, then ``column_stack``.
+
+    Only the encoding: the finiteness and overflow checks are left to
+    the library function the result is compared with.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    fixed = np.round(weights * scale).astype(np.int64)
+    fixed_sq = np.round(weights * weights * scale).astype(np.int64)
+    return np.column_stack([fixed, fixed_sq])
+
+
+def exact_bincount_reference(index, values, length: int) -> np.ndarray:
+    """Per-bin int64 sums mod 2**64: recount the bins, shift-and-mask
+    every limb, whatever the span of the values."""
+    n = len(index)
+    lo = values.min() if n else np.int64(0)
+    offsets = values.view(np.uint64) - np.int64(lo).view(np.uint64)
+    width = max(1, 53 - n.bit_length())
+    span = int(offsets.max()).bit_length() if n else 0
+    out = np.bincount(index, minlength=length).astype(np.uint64)
+    out *= np.int64(lo).view(np.uint64)
+    for shift in range(0, span, width):
+        limb = (offsets >> np.uint64(shift)) & np.uint64((1 << width) - 1)
+        sums = np.bincount(index, limb.astype(np.float64), length)
+        out += sums.astype(np.uint64) << np.uint64(shift)
+    return out.view(np.int64)

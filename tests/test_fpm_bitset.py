@@ -8,14 +8,18 @@ paths. The column filter is pinned against a per-node reference, and
 the level-wise walk as genuinely non-recursive.
 """
 
+import json
+import os
+import subprocess
 import sys
-import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 import repro.fpm.transactions as transactions_module
 from repro.core.fixedpoint import encode_weight_channels
 from repro.fpm.bitset import BitsetMiner, _as_words, candidate_starts
@@ -197,70 +201,94 @@ class TestPackedSubstrate:
         assert with_ch.fingerprint() != without.fingerprint()
 
 
+#: Calibrates the stack depth a shallow mine needs, then mines a chain
+#: one level deeper than a recursion limit set just above it, and prints
+#: the outcome as one JSON line.
+_DEEP_MINE_SCRIPT = """
+import json, sys
+
+import numpy as np
+
+from repro.fpm.miner import mine_frequent
+from repro.fpm.transactions import ItemCatalog, TransactionDataset
+
+
+def chain(depth):
+    # Two all-zero rows and one all-one row: at s=0.5 every subset of
+    # the zero items is frequent, nothing else is.
+    matrix = np.zeros((3, depth), dtype=np.int64)
+    matrix[2] = 1
+    catalog = ItemCatalog([f"a{j}" for j in range(depth)], [[0, 1]] * depth)
+    return TransactionDataset(matrix, catalog, np.eye(3, 2, dtype=int))
+
+
+deepest = 0
+
+
+def profile(frame, event, arg):
+    global deepest
+    depth = 1 if event == "c_call" else 0
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    deepest = max(deepest, depth)
+
+
+sys.setprofile(profile)
+try:
+    mine_frequent(chain(3), 0.5, algorithm="bitset")
+finally:
+    sys.setprofile(None)
+limit = deepest + 2
+outcome = {"depth": limit + 1}
+if outcome["depth"] <= 24:  # 2**depth itemsets: keep the test small
+    deep = chain(outcome["depth"])
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        result = mine_frequent(deep, 0.5, algorithm="bitset")
+    except RecursionError as exc:
+        outcome["error"] = repr(exc)
+    else:
+        zeros = frozenset(range(0, 2 * outcome["depth"], 2))
+        outcome["max_length"] = result.max_length()
+        outcome["n_itemsets"] = len(result)
+        outcome["counts"] = result.counts(zeros).tolist()
+    finally:
+        sys.setrecursionlimit(saved)
+print(json.dumps(outcome))
+"""
+
+
 class TestExplicitStack:
     def test_walker_survives_beyond_recursion_limit(self):
         """A lattice deeper than the recursion limit must mine fine.
 
         Every subset of a frequent itemset is frequent, so a real
-        lattice cannot outgrow the default limit; the mine runs in a
-        fresh thread under a limit just above the stack depth a shallow
-        mine needs, on a chain dataset deeper than that limit.
+        lattice cannot outgrow the default limit; the mine runs under a
+        limit just above the stack depth a shallow mine needs, on a
+        chain dataset deeper than that limit. Both run in a child
+        interpreter, so the lowered limit never touches this process.
         """
-
-        def chain(depth: int) -> TransactionDataset:
-            # Two all-zero rows and one all-one row: at s=0.5 every
-            # subset of the zero items is frequent, nothing else is.
-            matrix = np.zeros((3, depth), dtype=np.int64)
-            matrix[2] = 1
-            catalog = ItemCatalog(
-                [f"a{j}" for j in range(depth)], [[0, 1]] * depth
-            )
-            return TransactionDataset(matrix, catalog, np.eye(3, 2, dtype=int))
-
-        outcome = {}
-
-        def run():
-            deepest = 0
-
-            def profile(frame, event, arg):
-                nonlocal deepest
-                depth = 1 if event == "c_call" else 0
-                while frame is not None:
-                    depth, frame = depth + 1, frame.f_back
-                deepest = max(deepest, depth)
-
-            sys.setprofile(profile)
-            try:
-                mine_frequent(chain(3), 0.5, algorithm="bitset")
-            finally:
-                sys.setprofile(None)
-            limit = deepest + 2
-            depth = outcome["depth"] = limit + 1
-            if depth > 24:  # 2**depth itemsets: keep the test small
-                return
-            deep = chain(depth)
-            saved = sys.getrecursionlimit()
-            sys.setrecursionlimit(limit)
-            try:
-                outcome["result"] = mine_frequent(deep, 0.5, algorithm="bitset")
-            except RecursionError as exc:  # pragma: no cover - the failure
-                outcome["error"] = exc
-            finally:
-                sys.setrecursionlimit(saved)
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join(timeout=120)
-        assert not thread.is_alive()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _DEEP_MINE_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outcome = json.loads(done.stdout.splitlines()[-1])
         depth = outcome["depth"]
         assert depth <= 24, "a shallow mine already needs a deep stack"
         assert "error" not in outcome, outcome.get("error")
-        result = outcome["result"]
-        assert result.max_length() == depth
-        assert len(result) == 2**depth
-        assert result.counts(frozenset(range(0, 2 * depth, 2))).tolist() == [
-            2, 1, 1,
-        ]
+        assert outcome["max_length"] == depth
+        assert outcome["n_itemsets"] == 2**depth
+        assert outcome["counts"] == [2, 1, 1]
 
 
 def reference_starts(last, group_end, catalog):
