@@ -17,11 +17,7 @@ from repro.core.compare import (
     regressions,
     resolve_models,
 )
-from repro.core.continuous import (
-    ContinuousDivergenceExplorer,
-    ContinuousDivergenceResult,
-    ContinuousPatternRecord,
-)
+from repro.core.continuous import ContinuousDivergenceExplorer
 from repro.core.corrective import CorrectiveItem, find_corrective_items
 from repro.core.divergence import DivergenceExplorer
 from repro.core.global_divergence import (
@@ -48,8 +44,6 @@ from repro.core.significance import (
 __all__ = [
     "CompareResult",
     "ContinuousDivergenceExplorer",
-    "ContinuousDivergenceResult",
-    "ContinuousPatternRecord",
     "CorrectiveItem",
     "DivergenceExplorer",
     "DivergenceLattice",

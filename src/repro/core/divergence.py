@@ -27,17 +27,18 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.explorer_base import ExplorerBase
 from repro.core.outcomes import outcome_channels, outcome_metric
 from repro.core.result import PatternDivergenceResult
 from repro.exceptions import ReproError, SchemaError
 from repro.fpm.cache import MiningCache
-from repro.fpm.miner import mine_frequent
-from repro.fpm.transactions import ItemCatalog, ItemLayer, TransactionDataset
+from repro.fpm.miner import FrequentItemsets, mine_frequent
+from repro.fpm.transactions import TransactionDataset
 from repro.resilience import CancelToken, Deadline, cancel_scope, checkpoint
 from repro.tabular.table import Table
 
 
-class DivergenceExplorer:
+class DivergenceExplorer(ExplorerBase):
     """Explore classifier divergence over all frequent data subgroups.
 
     Parameters
@@ -75,15 +76,11 @@ class DivergenceExplorer:
         mining_cache: MiningCache | None = None,
         n_workers: int | None = None,
     ) -> None:
-        self.table = table
         self.true_column = true_column
         self.pred_column = pred_column
-        self.n_workers = n_workers
-        self.mining_cache = mining_cache if mining_cache is not None else MiningCache()
-        # One item layer for every metric (built at the first explore),
-        # and per metric its outcome array with the dataset built from
-        # it, so channel sums and fingerprints survive across calls.
-        self._layer: ItemLayer | None = None
+        # Per metric its outcome array with the dataset built on the
+        # item layer from it, so channel sums and fingerprints survive
+        # across calls.
         self._datasets: dict[str, tuple[np.ndarray, TransactionDataset]] = {}
         # Progressive-sampling state: one block permutation per seed and
         # one sampled dataset per (metric, rows, seed), so repeated
@@ -95,31 +92,13 @@ class DivergenceExplorer:
         ] = {}
         self._truth = _class_array(table, true_column)
         self._pred = _class_array(table, pred_column) if pred_column else None
-
-        reserved = {true_column, pred_column} - {None}
-        if attributes is None:
-            attributes = [
-                n for n in table.categorical_names if n not in reserved
-            ]
-        else:
-            attributes = list(attributes)
-            overlap = reserved & set(attributes)
-            if overlap:
-                raise SchemaError(
-                    f"class columns cannot be analysis attributes: {sorted(overlap)}"
-                )
-        if not attributes:
-            raise SchemaError("no analysis attributes available")
-        bad = [n for n in attributes if not table.column(n).is_categorical]
-        if bad:
-            raise SchemaError(
-                f"attributes must be categorical (discretize first): {bad}"
-            )
-        self.attributes = attributes
-        self.catalog = ItemCatalog(
-            attributes, [table.categorical(n).categories for n in attributes]
+        super().__init__(
+            table,
+            attributes,
+            mining_cache,
+            n_workers,
+            reserved={true_column, pred_column} - {None},
         )
-        self._matrix = table.encoded_matrix(attributes)
 
     # ------------------------------------------------------------------
 
@@ -210,22 +189,9 @@ class DivergenceExplorer:
                         confidence,
                         sample_seed,
                     )
-            if use_cache:
-                frequent = self.mining_cache.mine(
-                    dataset,
-                    min_support,
-                    algorithm=algorithm,
-                    max_length=max_length,
-                    n_workers=workers,
-                )
-            else:
-                frequent = mine_frequent(
-                    dataset,
-                    min_support,
-                    algorithm=algorithm,
-                    max_length=max_length,
-                    n_workers=workers,
-                )
+            frequent = self._mine(
+                dataset, min_support, algorithm, max_length, use_cache, workers
+            )
             checkpoint("explore.result")
             return PatternDivergenceResult(
                 frequent, self.catalog, metric, min_support
@@ -292,22 +258,9 @@ class DivergenceExplorer:
         from repro.approx.engine import ApproxResult
         from repro.obs import get_registry
 
-        if use_cache:
-            frequent = self.mining_cache.mine(
-                sampled,
-                min_support,
-                algorithm=algorithm,
-                max_length=max_length,
-                n_workers=workers,
-            )
-        else:
-            frequent = mine_frequent(
-                sampled,
-                min_support,
-                algorithm=algorithm,
-                max_length=max_length,
-                n_workers=workers,
-            )
+        frequent = self._mine(
+            sampled, min_support, algorithm, max_length, use_cache, workers
+        )
         checkpoint("explore.result")
         get_registry().counter("approx.rounds").inc()
         return ApproxResult(
@@ -320,12 +273,25 @@ class DivergenceExplorer:
             sample_seed=sample_seed,
         )
 
-    @property
-    def item_layer(self) -> ItemLayer:
-        """The rows every metric mines: distinct rows when they compress."""
-        if self._layer is None:
-            self._layer = ItemLayer(self._matrix, self.catalog, group=True)
-        return self._layer
+    def _mine(
+        self,
+        dataset: TransactionDataset,
+        min_support: float,
+        algorithm: str,
+        max_length: int | None,
+        use_cache: bool,
+        workers: int | None,
+    ) -> FrequentItemsets:
+        """Mine ``dataset``, through :attr:`mining_cache` when
+        ``use_cache`` is set."""
+        mine = self.mining_cache.mine if use_cache else mine_frequent
+        return mine(
+            dataset,
+            min_support,
+            algorithm=algorithm,
+            max_length=max_length,
+            n_workers=workers,
+        )
 
     def _dataset_for(self, metric: str) -> TransactionDataset:
         """The transaction dataset for ``metric``, reused across calls.

@@ -11,9 +11,10 @@ int64 addition is exact, but only while the totals fit. The worst-case
 sum over ``n`` rows is ``n * max(|fixed|, fixed_sq)``; at the default
 scale of 1e6, a score of magnitude ~1e3 squared over 10M rows already
 exceeds 2**63 and earlier code silently wrapped around. This module is
-the single shared encoder (used by :mod:`repro.core.continuous` and
-:mod:`repro.rank`): it checks the bound up front and raises a clear
-:class:`~repro.exceptions.ReproError` instead of corrupting results.
+the single shared encoder (used by :mod:`repro.rank`, whose ``"score"``
+model :mod:`repro.core.continuous` exposes): it checks the bound up
+front and raises a clear :class:`~repro.exceptions.ReproError` instead
+of corrupting results.
 """
 
 from __future__ import annotations

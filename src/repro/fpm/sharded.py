@@ -372,7 +372,7 @@ def shardable(dataset: TransactionDataset) -> bool:
     Requires fork-start workers (shared COW pages, no pickled setup)
     and at least one row. Binary channels ride as bitmap planes,
     non-binary (dense) channels — the fixed-point sufficient statistics
-    of the continuous and ranking extensions — as the bit planes of
+    of the rank weight models — as the bit planes of
     their offsets from the column minima.
     """
     if "fork" not in mp.get_all_start_methods():

@@ -26,11 +26,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.explorer_base import ExplorerBase
 from repro.core.fixedpoint import encode_weight_channels
-from repro.exceptions import ReproError, SchemaError
+from repro.exceptions import ReproError
 from repro.fpm.cache import MiningCache
 from repro.fpm.miner import mine_frequent
-from repro.fpm.transactions import ItemCatalog, ItemLayer, TransactionDataset
+from repro.fpm.transactions import TransactionDataset
 from repro.obs import get_registry
 from repro.rank.result import RankDivergenceResult
 from repro.rank.weights import rank_positions, rank_weights
@@ -38,7 +39,7 @@ from repro.resilience import CancelToken, Deadline, cancel_scope, checkpoint
 from repro.tabular.table import Table
 
 
-class RankDivergenceExplorer:
+class RankDivergenceExplorer(ExplorerBase):
     """Explore exposure/rank divergence over all frequent subgroups.
 
     Parameters
@@ -76,35 +77,14 @@ class RankDivergenceExplorer:
             )
         if not np.isfinite(scores).all():
             raise ReproError("scores must be finite")
-        self.table = table
         self.scores = scores
-        self.n_workers = n_workers
-        self.mining_cache = (
-            mining_cache if mining_cache is not None else MiningCache()
-        )
-        if attributes is None:
-            attributes = table.categorical_names
-        attributes = list(attributes)
-        if not attributes:
-            raise SchemaError("no analysis attributes available")
-        bad = [n for n in attributes if not table.column(n).is_categorical]
-        if bad:
-            raise SchemaError(
-                f"attributes must be categorical (discretize first): {bad}"
-            )
-        self.attributes = attributes
-        self.catalog = ItemCatalog(
-            attributes, [table.categorical(n).categories for n in attributes]
-        )
-        self._matrix = table.encoded_matrix(attributes)
+        super().__init__(table, attributes, mining_cache, n_workers)
         # Rank positions of the scores: one stable argsort, computed at
         # the first rank-based weight model and shared by all of them.
         self._ranks: np.ndarray | None = None
-        # One item layer for every weight model (built at the first
-        # explore), and one dataset per (weight_model, topk) on it: the
+        # One dataset per (weight_model, topk) on the item layer: the
         # channel sums and the mining-cache fingerprint stay warm across
         # explore() calls.
-        self._layer: ItemLayer | None = None
         self._datasets: dict[tuple[str, int | None], TransactionDataset] = {}
 
     # ------------------------------------------------------------------
@@ -175,14 +155,6 @@ class RankDivergenceExplorer:
             k=topk if weight_model == "topk" else None,
             ranks=self._ranks,
         )
-
-    @property
-    def item_layer(self) -> ItemLayer:
-        """The rows every weight model mines: distinct rows when they
-        compress."""
-        if self._layer is None:
-            self._layer = ItemLayer(self._matrix, self.catalog, group=True)
-        return self._layer
 
     def _dataset_for(
         self, weight_model: str, topk: int | None

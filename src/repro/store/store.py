@@ -43,7 +43,6 @@ from repro.store.log import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.result import PatternDivergenceResult
     from repro.stream.drift import DriftAlert
 
 STORE_VERSION = 1
@@ -314,18 +313,6 @@ class PatternStore:
             self._update_gauges()
             if self.auto_compact:
                 self._maybe_compact()
-
-    def record_result(
-        self,
-        window_index: int,
-        result: "PatternDivergenceResult",
-        alerts: Sequence["DriftAlert"] = (),
-        ts: float | None = None,
-    ) -> None:
-        """Journal a window straight from its divergence table."""
-        self.record_window(
-            window_index, result.journal_rows(), alerts, ts=ts
-        )
 
     def ack(
         self,

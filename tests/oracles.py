@@ -35,6 +35,8 @@ from repro.core.significance import (
     welch_t_statistic_signed,
 )
 from repro.exceptions import ReproError
+from repro.fpm.miner import mine_frequent
+from repro.fpm.transactions import ItemCatalog, TransactionDataset
 
 
 def top_k_reference(
@@ -382,6 +384,67 @@ def encode_weight_channels_reference(weights, scale: int = SCALE) -> np.ndarray:
     fixed = np.round(weights * scale).astype(np.int64)
     fixed_sq = np.round(weights * weights * scale).astype(np.int64)
     return np.column_stack([fixed, fixed_sq])
+
+
+def continuous_result_reference(
+    table,
+    scores,
+    attributes,
+    min_support: float,
+    max_length: int | None = None,
+) -> tuple:
+    """Mean-score divergence the per-record way: one record per itemset.
+
+    The algorithm the library's continuous explorer ran before it became
+    the ``"score"`` weight model of the rank explorer. Every row is
+    mined (no grouping) by brute force with plain fixed-point
+    (Σw, Σw²) channels; then, from each itemset's counts, mean,
+    variance, divergence and Welch t are computed one scalar at a time.
+
+    Means are squared as ``mean * mean``, as ``decode_moments`` does.
+    The old code squared as ``np.float64 ** 2``, which rounds
+    differently in the last bit for a few rows (for example on
+    ``-50 * |N(0, 1)|`` scores), so its variance and t could differ
+    from the columnar table's by one ulp. The overflow check is left to
+    the library encoder the result is compared with.
+
+    Returns ``(frequent, global_mean, records)``, where ``records`` maps
+    each key to a dict of ``support_count``, ``support``, ``mean``,
+    ``variance``, ``divergence`` and ``t_statistic``.
+    """
+    catalog = ItemCatalog(
+        attributes, [table.categorical(n).categories for n in attributes]
+    )
+    dataset = TransactionDataset(
+        table.encoded_matrix(attributes),
+        catalog,
+        encode_weight_channels_reference(scores),
+    )
+    frequent = mine_frequent(
+        dataset, min_support, algorithm="bruteforce", max_length=max_length
+    )
+    totals = frequent.totals
+    n_rows = int(totals[0])
+    global_mean = totals[1] / SCALE / n_rows
+    global_var = max(
+        totals[2] / SCALE / n_rows - global_mean * global_mean, 0.0
+    )
+    records = {}
+    for key, counts in frequent.items():
+        n = int(counts[0])
+        mean = counts[1] / SCALE / n
+        variance = max(counts[2] / SCALE / n - mean * mean, 0.0)
+        se = math.sqrt(variance / n + global_var / n_rows)
+        divergence = mean - global_mean
+        records[key] = {
+            "support_count": n,
+            "support": n / n_rows,
+            "mean": mean,
+            "variance": variance,
+            "divergence": divergence,
+            "t_statistic": abs(divergence) / se if se > 0 else 0.0,
+        }
+    return frequent, global_mean, records
 
 
 def exact_bincount_reference(index, values, length: int) -> np.ndarray:

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.continuous import ContinuousDivergenceExplorer
+from repro.core.fixedpoint import _SUM_LIMIT, SCALE
 from repro.core.items import Itemset
 from repro.exceptions import ReproError, SchemaError
+from repro.rank import RankDivergenceResult
 from repro.tabular.column import CategoricalColumn, ContinuousColumn
 from repro.tabular.table import Table
+from tests.oracles import continuous_result_reference
 
 
 def make_table(n=2000, seed=0):
@@ -23,6 +28,16 @@ def make_table(n=2000, seed=0):
         ]
     )
     return table, scores, g
+
+
+def in_key_order(frequent):
+    """``(keys, count_matrix)`` of a mined table, rows sorted by key.
+
+    Backends may emit rows in different orders; in key order two equal
+    tables compare equal with ``np.array_equal``.
+    """
+    order = np.lexsort(frequent.keys.T[::-1])
+    return frequent.keys[order], frequent.count_matrix[order]
 
 
 class TestExploration:
@@ -66,18 +81,122 @@ class TestExploration:
         for rec in result.top_k(4, ascending=True):
             assert ("g", 1) in {(i.attribute, i.value) for i in rec.itemset}
 
-    @pytest.mark.parametrize("algorithm", ["fpgrowth", "apriori", "eclat"])
+    @pytest.mark.parametrize(
+        "algorithm", ["fpgrowth", "apriori", "eclat", "bruteforce"]
+    )
     def test_backends_agree(self, algorithm):
         table, scores, _ = make_table(n=400)
         base = ContinuousDivergenceExplorer(table, scores).explore(0.05)
         other = ContinuousDivergenceExplorer(table, scores).explore(
             0.05, algorithm=algorithm
         )
-        assert set(base.frequent) == set(other.frequent)
-        for key in base.frequent:
-            assert base.record_for_key(key).mean == pytest.approx(
-                other.record_for_key(key).mean
-            )
+        base_keys, base_counts = in_key_order(base.frequent)
+        other_keys, other_counts = in_key_order(other.frequent)
+        assert np.array_equal(other_keys, base_keys)
+        assert np.array_equal(other_counts, base_counts)
+
+
+PIN_ATTRIBUTES = ["a", "b", "c"]
+SCORE_KINDS = ["normal", "tied", "constant", "negative", "large"]
+# (algorithm, n_workers): every serial backend, and the sharded engine.
+BACKENDS = [
+    ("bitset", None),
+    ("fpgrowth", None),
+    ("apriori", None),
+    ("eclat", None),
+    ("bruteforce", None),
+    ("bitset", 2),
+]
+
+
+def pin_case(seed, n, kind):
+    """A three-attribute table and scores of one kind.
+
+    ``large`` scores peak just inside the fixed-point overflow bound.
+    """
+    rng = np.random.default_rng(seed)
+    table = Table(
+        [
+            CategoricalColumn("a", rng.integers(0, 3, n), [0, 1, 2]),
+            CategoricalColumn("b", rng.integers(0, 2, n), [0, 1]),
+            CategoricalColumn("c", rng.integers(0, 4, n), [0, 1, 2, 3]),
+        ]
+    )
+    if kind == "normal":
+        scores = rng.normal(0.0, 1.0, n)
+    elif kind == "tied":
+        scores = np.round(rng.normal(0.0, 1.0, n), 1)
+    elif kind == "constant":
+        scores = np.full(n, rng.normal(0.0, 1.0))
+    elif kind == "negative":
+        scores = -50.0 * np.abs(rng.normal(0.0, 1.0, n))
+    else:
+        peak = 0.999 * np.sqrt((_SUM_LIMIT / n - 1.0) / SCALE)
+        scores = rng.uniform(-1.0, 1.0, n) * peak
+        scores[0] = peak
+    return table, scores
+
+
+def as_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestMatchesReference:
+    """The columnar ``"score"`` table equals the per-record reference
+    bit for bit, whatever the backend, shard plan and length cap."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(20, 200),
+        kind=st.sampled_from(SCORE_KINDS),
+        backend=st.sampled_from(BACKENDS),
+        max_length=st.sampled_from([None, 1, 2]),
+        min_support=st.sampled_from([0.02, 0.05, 0.1, 0.25]),
+    )
+    def test_bit_identical(
+        self, seed, n, kind, backend, max_length, min_support
+    ):
+        table, scores = pin_case(seed, n, kind)
+        algorithm, workers = backend
+        result = ContinuousDivergenceExplorer(
+            table, scores, n_workers=workers
+        ).explore(
+            min_support,
+            algorithm=algorithm,
+            max_length=max_length,
+            use_cache=False,
+        )
+        frequent, global_mean, records = continuous_result_reference(
+            table, scores, PIN_ATTRIBUTES, min_support, max_length
+        )
+        assert isinstance(result, RankDivergenceResult)
+        assert result.metric == "score"
+        keys, counts = in_key_order(result.frequent)
+        want_keys, want_counts = in_key_order(frequent)
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(counts, want_counts)
+        assert as_bits(result.global_mean) == as_bits(global_mean)
+        for key, record in zip(
+            result.frequent, result.records(include_empty=True)
+        ):
+            want = records[key]
+            got = [getattr(record, name) for name in want]
+            assert np.array_equal(
+                as_bits(got), as_bits(list(want.values()))
+            ), (key, got, want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(20, 200),
+        factor=st.floats(1.01, 1e3),
+    )
+    def test_past_overflow_bound_raises(self, seed, n, factor):
+        table, scores = pin_case(seed, n, "large")
+        explorer = ContinuousDivergenceExplorer(table, scores * factor)
+        with pytest.raises(ReproError, match="standardize"):
+            explorer.explore(0.1)
 
 
 class TestValidation:
